@@ -26,7 +26,8 @@ use gtn_bench::report::{self, obj, s, Json};
 use gtn_bench::sweep;
 use gtn_core::Strategy;
 use gtn_fabric::Topology;
-use gtn_workloads::collective::{self, Collective, CollectiveParams, CollectiveResult};
+use gtn_sim::time::SimTime;
+use gtn_workloads::collective::{self, Collective, CollectiveParams};
 use gtn_workloads::harness::Harness;
 
 const ELEMS: u64 = 256 * 1024; // 1 MB of f32
@@ -55,6 +56,16 @@ fn kind_of(name: &str) -> Collective {
         "rhd" => Collective::RhdAllreduce,
         other => panic!("unknown schedule {other:?}"),
     }
+}
+
+/// What the report keeps of one cell. Each cell is reduced to these
+/// scalars inside the sweep, so its per-rank vectors and full stats are
+/// dropped as soon as it finishes instead of living until the report.
+struct Point {
+    total_ps: u64,
+    max_link_bytes: u64,
+    messages_sent: u64,
+    retransmits: u64,
 }
 
 #[derive(Clone, Copy)]
@@ -92,9 +103,9 @@ fn main() {
             }
         }
     }
-    let points: Vec<CollectiveResult> = sweep::run(cells.clone(), |c| {
+    let points: Vec<Point> = sweep::run(cells.clone(), |c| {
         let topo = topology_of(c.topo, c.nodes);
-        collective::run_with_config(
+        let r = collective::run_with_config(
             "topology_scaling",
             kind_of(c.sched),
             CollectiveParams {
@@ -104,7 +115,13 @@ fn main() {
                 seed: SEED,
             },
             |config| config.fabric.topology = topo,
-        )
+        );
+        Point {
+            total_ps: r.scenario.total.as_ps(),
+            max_link_bytes: r.scenario.stats.counter("fabric", "max_link_bytes"),
+            messages_sent: r.scenario.stats.counter("fabric", "messages_sent"),
+            retransmits: r.scenario.retransmits,
+        }
     });
 
     println!(
@@ -118,20 +135,20 @@ fn main() {
             c.topo,
             c.sched,
             c.strategy.name(),
-            r.scenario.total.as_us_f64(),
-            r.scenario.stats.counter("fabric", "max_link_bytes") / 1024,
+            SimTime::from_ps(r.total_ps).as_us_f64(),
+            r.max_link_bytes / 1024,
         );
     }
 
     // Reordering report: strategy ranking (fastest first) per cell group,
     // compared to the star baseline at the same (nodes, schedule).
     let ranking = |nodes: u32, topo: &str, sched: &str| -> Vec<&'static str> {
-        let mut group: Vec<(&CollectiveResult, &Cell)> = points
+        let mut group: Vec<(&Point, &Cell)> = points
             .iter()
             .zip(&cells)
             .filter(|(_, c)| c.nodes == nodes && c.topo == topo && c.sched == sched)
             .collect();
-        group.sort_by_key(|(r, _)| r.scenario.total.as_ps());
+        group.sort_by_key(|(r, _)| r.total_ps);
         group.iter().map(|(_, c)| c.strategy.name()).collect()
     };
     let mut reordered: Vec<(u32, &'static str, &'static str, String, String)> = Vec::new();
@@ -176,16 +193,10 @@ fn main() {
                             ("topology", s(c.topo)),
                             ("schedule", s(c.sched)),
                             ("strategy", s(c.strategy.name())),
-                            ("total_ps", Json::U64(r.scenario.total.as_ps())),
-                            (
-                                "max_link_bytes",
-                                Json::U64(r.scenario.stats.counter("fabric", "max_link_bytes")),
-                            ),
-                            (
-                                "fabric_messages",
-                                Json::U64(r.scenario.stats.counter("fabric", "messages_sent")),
-                            ),
-                            ("retransmits", Json::U64(r.scenario.retransmits)),
+                            ("total_ps", Json::U64(r.total_ps)),
+                            ("max_link_bytes", Json::U64(r.max_link_bytes)),
+                            ("fabric_messages", Json::U64(r.messages_sent)),
+                            ("retransmits", Json::U64(r.retransmits)),
                         ])
                     })
                     .collect(),

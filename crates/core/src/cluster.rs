@@ -249,8 +249,9 @@ pub struct Cluster {
     /// GDS hooks: when kernel `label` completes on `node`, ring the NIC
     /// with `tags` (the front-end doorbell of GPUDirect Async).
     gds_hooks: HashMap<(u32, String), Vec<Tag>>,
-    /// Per-observer failure-detector state (one view per node; empty logic
-    /// unless `config.failure` is enabled).
+    /// Per-observer failure-detector state: one view per node when
+    /// `config.failure` is enabled, none otherwise (the tables grow with
+    /// the node count squared).
     views: Vec<MembershipView>,
     /// First death detection: `(peer, detector)`. Set by a detector's lease
     /// sweep, consumed by the run loop to terminate with
@@ -340,10 +341,16 @@ impl Cluster {
             .map(|i| config.fabric.faults.nic_down_at(i).map(SimTime::from_ns))
             .collect();
 
-        Cluster {
-            views: (0..n as u32)
+        let views = if config.failure.enabled() {
+            (0..n as u32)
                 .map(|i| MembershipView::new(i, n as u32))
-                .collect(),
+                .collect()
+        } else {
+            Vec::new()
+        };
+
+        Cluster {
+            views,
             config,
             mem,
             fabric,
@@ -414,10 +421,10 @@ impl Cluster {
         &self.log
     }
 
-    /// Node `n`'s failure-detector view of the cluster (meaningful only
-    /// when `config.failure` is enabled).
-    pub fn membership(&self, n: u32) -> &MembershipView {
-        &self.views[n as usize]
+    /// Node `n`'s failure-detector view of the cluster, or `None` when
+    /// `config.failure` is disabled (no tables are built then).
+    pub fn membership(&self, n: u32) -> Option<&MembershipView> {
+        self.views.get(n as usize)
     }
 
     /// The first death detection, if any: `(peer, detector)`.
@@ -1395,12 +1402,25 @@ mod tests {
         let now = cluster.now();
         let failure = cluster.config().failure;
         for (me, peer) in [(0u32, 1u32), (1, 0)] {
-            assert!(cluster.membership(me).last_heard(peer) > SimTime::ZERO);
-            assert_eq!(
-                cluster.membership(me).liveness(peer, now, &failure),
-                Liveness::Alive
-            );
+            let view = cluster.membership(me).expect("detection builds views");
+            assert!(view.last_heard(peer) > SimTime::ZERO);
+            assert_eq!(view.liveness(peer, now, &failure), Liveness::Alive);
         }
+    }
+
+    #[test]
+    fn detection_off_builds_no_membership_tables() {
+        let config = ClusterConfig::table2(4);
+        assert!(!config.failure.enabled());
+        let mem = MemPool::new(4);
+        let programs = (0..4).map(|_| HostProgram::new()).collect();
+        let mut cluster = Cluster::new(config, mem, programs);
+        assert!(cluster.views.is_empty());
+        assert!((0..4).all(|n| cluster.membership(n).is_none()));
+        // No heartbeat is ever scheduled: the empty programs are all there is.
+        let result = cluster.run();
+        assert!(result.completed, "{result:?}");
+        assert_eq!(result.events, 4, "one CPU step per node, no heartbeats");
     }
 
     #[test]

@@ -69,30 +69,21 @@ pub trait CommDriver {
     /// The strategy this driver realizes.
     fn strategy(&self) -> Strategy;
 
-    /// One-time world setup. Two-sided drivers build their [`MpiWorld`]
-    /// here (allocating per-channel eager buffers from `mem`); one-sided
-    /// drivers need nothing and use the default no-op.
-    fn setup(&mut self, config: &ClusterConfig, mem: &mut MemPool, max_msg_bytes: u64) {
-        let _ = (config, mem, max_msg_bytes);
-    }
-
-    /// Like [`setup`](CommDriver::setup), but for workloads that know
-    /// their communication graph up front: only the given directed
-    /// `(src, dst)` pairs get eager channels. At 512 nodes a ring
-    /// Allreduce talks to 2 peers per rank, not 511, so the dense
-    /// `O(P²)` mailbox mesh would dwarf the payload memory. One-sided
-    /// drivers ignore the hint; the default delegates to the dense
-    /// [`setup`](CommDriver::setup) so sparse-aware callers stay correct
-    /// on every driver.
-    fn setup_pairs(
+    /// One-time world setup from the run's declared two-sided traffic:
+    /// every message the workload will [`send`](CommDriver::send), as
+    /// `(src, dst, bytes)`. A message of at most `eager_limit` bytes goes
+    /// eager, a larger one rendezvous. Two-sided drivers build their
+    /// [`MpiWorld`] here, with one channel per pair in `messages` and eager
+    /// buffers sized by that pair's messages; one-sided drivers need
+    /// nothing and use the default no-op.
+    fn setup(
         &mut self,
         config: &ClusterConfig,
         mem: &mut MemPool,
-        max_msg_bytes: u64,
-        pairs: &[(u32, u32)],
+        eager_limit: u64,
+        messages: &[(u32, u32, u64)],
     ) {
-        let _ = pairs;
-        self.setup(config, mem, max_msg_bytes);
+        let _ = (config, mem, eager_limit, messages);
     }
 
     /// Emit a matched two-sided send of `len` bytes from `src` on node
@@ -168,19 +159,14 @@ struct MpiLane {
 }
 
 impl MpiLane {
-    fn setup(&mut self, config: &ClusterConfig, mem: &mut MemPool, max_msg_bytes: u64) {
-        self.world = Some(MpiWorld::new(mem, config.n_nodes, max_msg_bytes));
-        self.host = Some(config.host.clone());
-    }
-
-    fn setup_pairs(
+    fn setup(
         &mut self,
         config: &ClusterConfig,
         mem: &mut MemPool,
-        max_msg_bytes: u64,
-        pairs: &[(u32, u32)],
+        eager_limit: u64,
+        messages: &[(u32, u32, u64)],
     ) {
-        self.world = Some(MpiWorld::for_pairs(mem, pairs, max_msg_bytes));
+        self.world = Some(MpiWorld::new(mem, eager_limit, messages));
         self.host = Some(config.host.clone());
     }
 
@@ -224,18 +210,14 @@ impl CommDriver for CpuMpiDriver {
         Strategy::Cpu
     }
 
-    fn setup(&mut self, config: &ClusterConfig, mem: &mut MemPool, max_msg_bytes: u64) {
-        self.lane.setup(config, mem, max_msg_bytes);
-    }
-
-    fn setup_pairs(
+    fn setup(
         &mut self,
         config: &ClusterConfig,
         mem: &mut MemPool,
-        max_msg_bytes: u64,
-        pairs: &[(u32, u32)],
+        eager_limit: u64,
+        messages: &[(u32, u32, u64)],
     ) {
-        self.lane.setup_pairs(config, mem, max_msg_bytes, pairs);
+        self.lane.setup(config, mem, eager_limit, messages);
     }
 
     fn send(&mut self, prog: &mut HostProgram, from: NodeId, to: NodeId, src: Addr, len: u64) {
@@ -267,18 +249,14 @@ impl CommDriver for HdnDriver {
         Strategy::Hdn
     }
 
-    fn setup(&mut self, config: &ClusterConfig, mem: &mut MemPool, max_msg_bytes: u64) {
-        self.lane.setup(config, mem, max_msg_bytes);
-    }
-
-    fn setup_pairs(
+    fn setup(
         &mut self,
         config: &ClusterConfig,
         mem: &mut MemPool,
-        max_msg_bytes: u64,
-        pairs: &[(u32, u32)],
+        eager_limit: u64,
+        messages: &[(u32, u32, u64)],
     ) {
-        self.lane.setup_pairs(config, mem, max_msg_bytes, pairs);
+        self.lane.setup(config, mem, eager_limit, messages);
     }
 
     fn send(&mut self, prog: &mut HostProgram, from: NodeId, to: NodeId, src: Addr, len: u64) {
@@ -441,7 +419,7 @@ mod tests {
             let src = Addr::base(NodeId(0), mem.alloc(NodeId(0), 64, "t.src"));
             let dst = Addr::base(NodeId(1), mem.alloc(NodeId(1), 64, "t.dst"));
             let mut d = driver(s);
-            d.setup(&config, &mut mem, 64);
+            d.setup(&config, &mut mem, 64, &[(0, 1, 64)]);
             let (mut p0, mut p1) = (HostProgram::new(), HostProgram::new());
             d.send(&mut p0, NodeId(0), NodeId(1), src, 64);
             d.recv(&mut p1, NodeId(0), NodeId(1), dst, 64);
@@ -450,38 +428,30 @@ mod tests {
     }
 
     #[test]
-    fn sparse_setup_builds_channels_for_named_pairs_only() {
-        let config = ClusterConfig::table2(4);
-        for s in [Strategy::Cpu, Strategy::Hdn] {
-            let mut mem = MemPool::new(4);
-            let src = Addr::base(NodeId(0), mem.alloc(NodeId(0), 64, "t.src"));
-            let mut d = driver(s);
-            d.setup_pairs(&config, &mut mem, 64, &[(0, 1), (1, 0)]);
-            let mut p0 = HostProgram::new();
-            d.send(&mut p0, NodeId(0), NodeId(1), src, 64);
-            assert!(!p0.is_empty(), "{s}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "no channel n0->n2")]
-    fn sparse_setup_panics_on_unnamed_pair() {
+    fn setup_builds_channels_for_declared_pairs_only() {
         let config = ClusterConfig::table2(4);
         let mut mem = MemPool::new(4);
         let src = Addr::base(NodeId(0), mem.alloc(NodeId(0), 64, "t.src"));
         let mut d = driver(Strategy::Cpu);
-        d.setup_pairs(&config, &mut mem, 64, &[(0, 1)]);
+        d.setup(&config, &mut mem, 64, &[(0, 1, 64), (1, 0, 64)]);
         let mut p0 = HostProgram::new();
+        d.send(&mut p0, NodeId(0), NodeId(1), src, 64);
+        assert!(!p0.is_empty());
         d.send(&mut p0, NodeId(0), NodeId(2), src, 64);
     }
 
     #[test]
-    fn one_sided_drivers_accept_the_pair_hint() {
+    fn one_sided_drivers_ignore_the_traffic() {
         let config = ClusterConfig::table2(2);
         for s in [Strategy::Gds, Strategy::GpuTn] {
             let mut mem = MemPool::new(2);
-            // Default delegates to the (no-op) dense setup: must not panic.
-            driver(s).setup_pairs(&config, &mut mem, 64, &[(0, 1)]);
+            driver(s).setup(&config, &mut mem, 64, &[(0, 1, 64)]);
+            // No eager buffers were allocated.
+            assert!(
+                mem.region_len(NodeId(1), gtn_mem::RegionId(0)).is_err(),
+                "{s}"
+            );
         }
     }
 

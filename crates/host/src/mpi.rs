@@ -2,13 +2,15 @@
 //!
 //! The HDN and CPU configurations use "two sided send/recv semantics"
 //! (§5.1). We implement the standard eager protocol: every directed pair of
-//! nodes shares a *channel* on the receiver — a ring of mailbox slots plus
-//! an arrival counter. `send` is a NIC put into the next slot that bumps the
-//! counter; `recv` polls the counter, then copies the slot into the user
-//! buffer (paying the receive stack and memcpy time). Slot rotation gives
-//! the sender bounded run-ahead, like a real eager buffer pool.
+//! nodes that communicates shares a *channel* on the receiver — a ring of
+//! mailbox slots plus an arrival counter. `send` is a NIC put into the next
+//! slot that bumps the counter; `recv` polls the counter, then copies the
+//! slot into the user buffer (paying the receive stack and memcpy time).
+//! Slot rotation gives the sender bounded run-ahead, like a real eager
+//! buffer pool. The world is built from the run's declared messages, so
+//! mailbox memory scales with the traffic, not with the node count squared.
 //!
-//! Messages larger than the eager slot use the **rendezvous protocol**:
+//! Messages larger than the eager limit use the **rendezvous protocol**:
 //! the sender puts a ready-to-send (RTS) record; the receiver answers with
 //! a clear-to-send (CTS) carrying its user-buffer address; the sender then
 //! puts the payload **directly into the user buffer** (zero-copy), exactly
@@ -27,20 +29,24 @@ use gtn_nic::nic::NicCommand;
 use gtn_nic::op::{NetOp, Notify};
 use std::collections::HashMap;
 
-/// Number of mailbox slots per directed channel. Lock-step round-based
+/// Most mailbox slots a directed channel gets. Lock-step round-based
 /// patterns (halo exchange, ring collectives) never run more than a couple
 /// of messages ahead; four slots gives comfortable margin and the tests
-/// verify payload integrity end-to-end.
+/// verify payload integrity end-to-end. A channel that carries fewer eager
+/// messages gets one slot per message, so no slot is ever reused.
 pub const SLOTS: u64 = 4;
 
 #[derive(Debug)]
 struct Channel {
     /// Base of the slot ring (on the receiver).
     slots: Addr,
+    /// Slots in the ring: the pair's eager message count, capped at
+    /// [`SLOTS`].
+    n_slots: u64,
+    /// Bytes per slot: the pair's largest eager message.
+    slot_bytes: u64,
     /// Arrival counter (on the receiver), bumped by the NIC notify.
     flag: Addr,
-    /// Bytes per slot.
-    slot_bytes: u64,
     /// Messages sent so far (sender-side sequence).
     sent: u64,
     /// Messages received so far (receiver-side sequence).
@@ -61,46 +67,75 @@ struct Channel {
     rdv_received: u64,
 }
 
+impl Channel {
+    /// The slot carrying eager message `seq` (0-based) of `bytes` bytes.
+    ///
+    /// # Panics
+    /// Panics if the message was not declared to [`MpiWorld::new`]: it
+    /// does not fit the slots, or it is one more than a channel with
+    /// fewer than [`SLOTS`] slots was sized for.
+    fn slot(&self, seq: u64, bytes: u64, src: NodeId, dst: NodeId) -> Addr {
+        assert!(
+            bytes <= self.slot_bytes && (seq < self.n_slots || self.n_slots == SLOTS),
+            "eager message #{seq} of {bytes} B on {src}->{dst} was not declared \
+             ({} slots of {} B)",
+            self.n_slots,
+            self.slot_bytes
+        );
+        self.slots.offset_by(seq % self.n_slots * self.slot_bytes)
+    }
+}
+
 /// Bytes of one CTS record: (region id, offset).
 const CTS_BYTES: u64 = 16;
 
-/// All directed channels of a cluster.
+/// The directed channels a run's traffic uses.
 #[derive(Debug)]
 pub struct MpiWorld {
     channels: HashMap<(u32, u32), Channel>,
-    slot_bytes: u64,
+    eager_limit: u64,
 }
 
 impl MpiWorld {
-    /// Allocate channels for every directed pair of `n_nodes` nodes, each
-    /// slot holding up to `max_msg_bytes`.
-    pub fn new(mem: &mut MemPool, n_nodes: u32, max_msg_bytes: u64) -> Self {
-        let pairs: Vec<(u32, u32)> = (0..n_nodes)
-            .flat_map(|src| (0..n_nodes).map(move |dst| (src, dst)))
-            .filter(|(src, dst)| src != dst)
-            .collect();
-        MpiWorld::for_pairs(mem, &pairs, max_msg_bytes)
-    }
-
-    /// Allocate channels only for the given directed `pairs` (deduplicated,
-    /// in first-seen order). Large collectives talk to a handful of peers
-    /// per rank; allocating the full `P²` channel mesh of [`MpiWorld::new`]
-    /// would cost `O(P²·max_msg_bytes)` mailbox memory for slots that are
-    /// never touched.
-    pub fn for_pairs(mem: &mut MemPool, pairs: &[(u32, u32)], max_msg_bytes: u64) -> Self {
-        let mut channels = HashMap::new();
-        for &(src, dst) in pairs {
-            if src == dst || channels.contains_key(&(src, dst)) {
+    /// Allocate one channel per directed pair that `messages` uses, in
+    /// first-seen order. Each message is `(src, dst, bytes)`; self-messages
+    /// are ignored.
+    ///
+    /// A message of at most `eager_limit` bytes goes eager, a larger one
+    /// rendezvous. A channel's slots each hold its largest eager message,
+    /// and it gets one slot per eager message, up to [`SLOTS`]. Mailbox
+    /// memory thus follows the traffic: a pair that carries two small
+    /// messages costs two small slots, and a pair that is never used costs
+    /// nothing.
+    pub fn new(mem: &mut MemPool, eager_limit: u64, messages: &[(u32, u32, u64)]) -> Self {
+        // (pair, eager message count, largest eager message), first-seen order.
+        let mut shapes: Vec<((u32, u32), u64, u64)> = Vec::new();
+        let mut index: HashMap<(u32, u32), usize> = HashMap::new();
+        for &(src, dst, bytes) in messages {
+            if src == dst {
                 continue;
             }
-            let slots_region = mem.alloc(NodeId(dst), max_msg_bytes * SLOTS, "mpi.slots");
+            let i = *index.entry((src, dst)).or_insert_with(|| {
+                shapes.push(((src, dst), 0, 0));
+                shapes.len() - 1
+            });
+            if bytes <= eager_limit {
+                shapes[i].1 += 1;
+                shapes[i].2 = shapes[i].2.max(bytes);
+            }
+        }
+        let mut channels = HashMap::with_capacity(shapes.len());
+        for ((src, dst), eager, slot_bytes) in shapes {
+            let n_slots = eager.min(SLOTS);
+            let slots_region = mem.alloc(NodeId(dst), slot_bytes * n_slots, "mpi.slots");
             let flag_region = mem.alloc(NodeId(dst), 8, "mpi.flag");
             channels.insert(
                 (src, dst),
                 Channel {
                     slots: Addr::base(NodeId(dst), slots_region),
+                    n_slots,
+                    slot_bytes,
                     flag: Addr::base(NodeId(dst), flag_region),
-                    slot_bytes: max_msg_bytes,
                     sent: 0,
                     received: 0,
                     rts_flag: Addr::base(NodeId(dst), mem.alloc(NodeId(dst), 8, "mpi.rts_flag")),
@@ -124,13 +159,13 @@ impl MpiWorld {
         }
         MpiWorld {
             channels,
-            slot_bytes: max_msg_bytes,
+            eager_limit,
         }
     }
 
-    /// Maximum message size a channel slot can hold.
-    pub fn max_msg_bytes(&self) -> u64 {
-        self.slot_bytes
+    /// Largest message that goes eager; larger ones go rendezvous.
+    pub fn eager_limit(&self) -> u64 {
+        self.eager_limit
     }
 
     fn channel_mut(&mut self, src: NodeId, dst: NodeId) -> &mut Channel {
@@ -150,13 +185,12 @@ impl MpiWorld {
         user_buf: Addr,
         bytes: u64,
     ) -> Vec<HostOp> {
-        if bytes > self.slot_bytes {
+        if bytes > self.eager_limit {
             return self.send_ops_rendezvous(src, dst, user_buf, bytes);
         }
         let ch = self.channel_mut(src, dst);
-        let slot = ch.sent % SLOTS;
+        let dst_addr = ch.slot(ch.sent, bytes, src, dst);
         ch.sent += 1;
-        let dst_addr = ch.slots.offset_by(slot * ch.slot_bytes);
         let flag = ch.flag;
         vec![HostOp::NicPost(NicCommand::Put(NetOp::Put {
             src: user_buf,
@@ -183,15 +217,14 @@ impl MpiWorld {
         user_buf: Addr,
         bytes: u64,
     ) -> Vec<HostOp> {
-        if bytes > self.slot_bytes {
+        if bytes > self.eager_limit {
             return self.recv_ops_rendezvous(cfg, src, dst, user_buf, bytes);
         }
         let compute = CpuCompute::new(cfg.clone());
         let ch = self.channel_mut(src, dst);
-        let seq = ch.received + 1;
-        let slot = ch.received % SLOTS;
+        let slot_addr = ch.slot(ch.received, bytes, src, dst);
         ch.received += 1;
-        let slot_addr = ch.slots.offset_by(slot * ch.slot_bytes);
+        let seq = ch.received;
         let flag = ch.flag;
         vec![
             HostOp::Poll {
@@ -306,56 +339,121 @@ impl MpiWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nbc::{self, chunk_range, NbcOp, Schedule};
 
-    #[test]
-    fn channels_cover_all_directed_pairs() {
-        let mut mem = MemPool::new(3);
-        let w = MpiWorld::new(&mut mem, 3, 1024);
-        assert_eq!(w.channels.len(), 6);
-        assert_eq!(w.max_msg_bytes(), 1024);
-        // Slots live on the receiver.
-        let ch = &w.channels[&(0, 2)];
-        assert_eq!(ch.slots.node, NodeId(2));
-        assert_eq!(ch.flag.node, NodeId(2));
+    /// Eager mailbox bytes the world holds, as its channels describe them.
+    fn mailbox_bytes(w: &MpiWorld) -> u64 {
+        w.channels.values().map(|c| c.n_slots * c.slot_bytes).sum()
+    }
+
+    /// `n` messages of `bytes` from node 0 to node 1.
+    fn zero_to_one(n: usize, bytes: u64) -> Vec<(u32, u32, u64)> {
+        vec![(0, 1, bytes); n]
+    }
+
+    /// The traffic of per-rank schedules over `elems` f32s: one message per
+    /// (rank, round, peer), the sends of a round to one peer coalesced.
+    fn traffic(schedules: &[Schedule], elems: u64) -> Vec<(u32, u32, u64)> {
+        let mut messages = Vec::new();
+        for s in schedules {
+            for round in &s.rounds {
+                let mut per_peer: Vec<(u32, u64)> = Vec::new();
+                for op in &round.0 {
+                    if let NbcOp::Send { peer, chunk } = *op {
+                        let bytes = chunk_range(chunk, elems, s.n_chunks).1 * 4;
+                        match per_peer.iter_mut().find(|(p, _)| *p == peer) {
+                            Some(entry) => entry.1 += bytes,
+                            None => per_peer.push((peer, bytes)),
+                        }
+                    }
+                }
+                messages.extend(per_peer.into_iter().map(|(peer, b)| (s.rank, peer, b)));
+            }
+        }
+        messages
     }
 
     #[test]
-    fn sparse_world_allocates_only_named_pairs() {
+    fn channels_exist_only_for_declared_pairs_on_the_receiver() {
         let mut mem = MemPool::new(4);
-        // Duplicates and self-pairs are ignored.
-        let pairs = [(0, 1), (1, 0), (0, 1), (2, 2), (3, 1)];
-        let w = MpiWorld::for_pairs(&mut mem, &pairs, 512);
+        // Duplicates and self-messages are ignored.
+        let messages = [(0, 1, 64), (1, 0, 64), (0, 1, 64), (2, 2, 64), (3, 1, 64)];
+        let w = MpiWorld::new(&mut mem, 1024, &messages);
         assert_eq!(w.channels.len(), 3);
+        assert_eq!(w.eager_limit(), 1024);
         assert!(w.channels.contains_key(&(3, 1)));
         assert!(!w.channels.contains_key(&(1, 3)));
-        // Node 2 only appeared as a self-pair: nothing was placed on it.
+        // Slots live on the receiver.
+        let ch = &w.channels[&(0, 1)];
+        assert_eq!(ch.slots.node, NodeId(1));
+        assert_eq!(ch.flag.node, NodeId(1));
+        // Node 2 only appeared as a self-message: nothing was placed on it.
         assert!(mem.region_len(NodeId(2), RegionId(0)).is_err());
     }
 
     #[test]
-    fn dense_world_matches_sparse_all_pairs_layout() {
-        // `new` delegates to `for_pairs`; the mailbox layout (and therefore
-        // every region id and offset) must be identical for the dense case.
-        let mut mem_a = MemPool::new(3);
-        let a = MpiWorld::new(&mut mem_a, 3, 256);
-        let mut mem_b = MemPool::new(3);
-        let pairs: Vec<(u32, u32)> = (0..3)
-            .flat_map(|s| (0..3).map(move |d| (s, d)))
-            .filter(|(s, d)| s != d)
-            .collect();
-        let b = MpiWorld::for_pairs(&mut mem_b, &pairs, 256);
-        for key in a.channels.keys() {
-            let (ca, cb) = (&a.channels[key], &b.channels[key]);
-            assert_eq!(ca.slots, cb.slots);
-            assert_eq!(ca.flag, cb.flag);
-            assert_eq!(ca.cts_slots, cb.cts_slots);
+    fn ring_traffic_builds_one_four_slot_channel_per_rank() {
+        let p = 32;
+        let elems = 8 * 1024;
+        let schedules: Vec<Schedule> = (0..p).map(|r| nbc::ring_allreduce(r, p)).collect();
+        let chunk = chunk_range(0, elems, p).1 * 4;
+        let mut mem = MemPool::new(p as usize);
+        let w = MpiWorld::new(&mut mem, chunk, &traffic(&schedules, elems));
+        assert_eq!(w.channels.len(), 32);
+        for (&(src, dst), ch) in &w.channels {
+            assert_eq!(dst, (src + 1) % p);
+            assert_eq!((ch.n_slots, ch.slot_bytes), (4, chunk));
         }
+    }
+
+    #[test]
+    fn halving_doubling_traffic_builds_two_slots_per_channel() {
+        let p = 512;
+        let elems = 4 * 1024;
+        let schedules: Vec<Schedule> = (0..p).map(|r| nbc::rhd_allreduce(r, p)).collect();
+        let messages = traffic(&schedules, elems);
+        let largest = messages.iter().map(|m| m.2).max().unwrap();
+        assert_eq!(
+            largest,
+            elems * 4 / 2,
+            "round one exchanges half the vector"
+        );
+        let mut mem = MemPool::new(p as usize);
+        let w = MpiWorld::new(&mut mem, largest, &messages);
+        // Nine partners per rank, one message each way per phase.
+        assert_eq!(w.channels.len(), 512 * 9);
+        assert!(w.channels.values().all(|ch| ch.n_slots == 2));
+        // Every pair's slots are sized by its own messages: far below the
+        // 4 x 8 KB a channel used to get whatever it carried.
+        assert!(mailbox_bytes(&w) < 512 * 9 * 4 * largest / 8);
+    }
+
+    #[test]
+    fn mailbox_bytes_sum_slot_bytes_times_slots() {
+        let mut mem = MemPool::new(3);
+        let messages = [
+            (0, 1, 100),
+            (0, 1, 300),
+            (0, 1, 200), // 3 slots of 300 B
+            (1, 2, 50),  // 1 slot of 50 B
+            (2, 0, 4096),
+            (2, 0, 8), // the rendezvous message is not slotted: 1 slot of 8 B
+        ];
+        let w = MpiWorld::new(&mut mem, 1024, &messages);
+        assert_eq!(mailbox_bytes(&w), 3 * 300 + 50 + 8);
+        // The slot regions the pool holds are exactly that size.
+        let allocated: u64 = w
+            .channels
+            .values()
+            .map(|c| mem.region_len(c.slots.node, c.slots.region).unwrap())
+            .sum();
+        assert_eq!(allocated, mailbox_bytes(&w));
     }
 
     #[test]
     fn send_targets_rotating_slots() {
         let mut mem = MemPool::new(2);
-        let mut w = MpiWorld::new(&mut mem, 2, 256);
+        let mut w = MpiWorld::new(&mut mem, 256, &zero_to_one(6, 100));
         let buf = Addr::base(NodeId(0), mem.alloc(NodeId(0), 256, "buf"));
         let mut offsets = Vec::new();
         for _ in 0..6 {
@@ -369,13 +467,56 @@ mod tests {
                 other => panic!("unexpected op {other:?}"),
             }
         }
-        assert_eq!(offsets, vec![0, 256, 512, 768, 0, 256]);
+        assert_eq!(offsets, vec![0, 100, 200, 300, 0, 100]);
+    }
+
+    #[test]
+    fn few_messages_get_one_slot_each() {
+        let mut mem = MemPool::new(2);
+        let mut w = MpiWorld::new(&mut mem, 256, &zero_to_one(2, 64));
+        let buf = Addr::base(NodeId(0), mem.alloc(NodeId(0), 64, "buf"));
+        let offsets: Vec<u64> = (0..2)
+            .map(|_| match &w.send_ops(NodeId(0), NodeId(1), buf, 64)[0] {
+                HostOp::NicPost(NicCommand::Put(NetOp::Put { dst, .. })) => dst.offset,
+                other => panic!("unexpected op {other:?}"),
+            })
+            .collect();
+        assert_eq!(offsets, vec![0, 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "was not declared")]
+    fn an_undeclared_extra_eager_message_panics() {
+        let mut mem = MemPool::new(2);
+        let mut w = MpiWorld::new(&mut mem, 256, &zero_to_one(2, 64));
+        let buf = Addr::base(NodeId(0), mem.alloc(NodeId(0), 64, "buf"));
+        for _ in 0..3 {
+            w.send_ops(NodeId(0), NodeId(1), buf, 64);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "was not declared")]
+    fn an_eager_message_larger_than_declared_panics() {
+        let mut mem = MemPool::new(2);
+        let mut w = MpiWorld::new(&mut mem, 256, &zero_to_one(4, 64));
+        let buf = Addr::base(NodeId(0), mem.alloc(NodeId(0), 128, "buf"));
+        w.send_ops(NodeId(0), NodeId(1), buf, 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "no channel n0->n2")]
+    fn a_send_on_an_undeclared_pair_panics() {
+        let mut mem = MemPool::new(3);
+        let mut w = MpiWorld::new(&mut mem, 256, &zero_to_one(1, 64));
+        let buf = Addr::base(NodeId(0), mem.alloc(NodeId(0), 64, "buf"));
+        w.send_ops(NodeId(0), NodeId(2), buf, 64);
     }
 
     #[test]
     fn recv_polls_increasing_sequence() {
         let mut mem = MemPool::new(2);
-        let mut w = MpiWorld::new(&mut mem, 2, 256);
+        let mut w = MpiWorld::new(&mut mem, 256, &zero_to_one(3, 64));
         let cfg = HostConfig::default();
         let buf = Addr::base(NodeId(1), mem.alloc(NodeId(1), 256, "buf"));
         for expected in 1..=3u64 {
@@ -389,9 +530,11 @@ mod tests {
     }
 
     #[test]
-    fn oversized_send_takes_the_rendezvous_path() {
+    fn a_message_above_the_eager_limit_goes_rendezvous() {
         let mut mem = MemPool::new(2);
-        let mut w = MpiWorld::new(&mut mem, 2, 64);
+        let mut w = MpiWorld::new(&mut mem, 64, &zero_to_one(1, 128));
+        // A rendezvous-only channel has no eager slots at all.
+        assert_eq!(mailbox_bytes(&w), 0);
         let buf = Addr::base(NodeId(0), mem.alloc(NodeId(0), 256, "buf"));
         let ops = w.send_ops(NodeId(0), NodeId(1), buf, 128);
         // RTS put, CTS poll, dynamic payload put.
@@ -413,7 +556,8 @@ mod tests {
     #[test]
     fn rendezvous_sequences_advance_independently_of_eager() {
         let mut mem = MemPool::new(2);
-        let mut w = MpiWorld::new(&mut mem, 2, 64);
+        let traffic = [(0, 1, 32), (0, 1, 128), (0, 1, 32), (0, 1, 128)];
+        let mut w = MpiWorld::new(&mut mem, 64, &traffic);
         let buf = Addr::base(NodeId(0), mem.alloc(NodeId(0), 1024, "buf"));
         // Interleave eager and rendezvous sends; each protocol keeps its
         // own sequence numbers.
@@ -432,7 +576,7 @@ mod tests {
     #[test]
     fn recv_copy_moves_slot_payload() {
         let mut mem = MemPool::new(2);
-        let mut w = MpiWorld::new(&mut mem, 2, 128);
+        let mut w = MpiWorld::new(&mut mem, 128, &zero_to_one(1, 16));
         let cfg = HostConfig::default();
         let user = Addr::base(NodeId(1), mem.alloc(NodeId(1), 128, "user"));
         let ops = w.recv_ops(&cfg, NodeId(0), NodeId(1), user, 16);

@@ -221,14 +221,35 @@ fn run_inner(
         })
         .collect();
 
-    // Two-sided drivers build their MPI lane here (allocating eager
-    // buffers); one-sided drivers need no setup.
-    let mut driver = comm::driver(params.strategy);
-    driver.setup(&config, &mut mem, chunk_bytes);
-    let cpu_model = CpuCompute::new(config.host.clone());
-
     let rounds = 2 * (p - 1);
     let md = |x: i64| ((x % p as i64 + p as i64) % p as i64) as u32;
+    // Rank i's per-round geometry, same for every strategy, as
+    // (send_chunk, recv_chunk, reduce):
+    //   RS round r (0..P-1):  send (i−r), recv (i−r−1) → reduce.
+    //   AG round r' (0..P-1): send (i+1−r'), recv (i−r') → in place.
+    let geometry = |i: i64, r: u32| -> (u32, u32, bool) {
+        if r < p - 1 {
+            (md(i - r as i64), md(i - r as i64 - 1), true)
+        } else {
+            let rp = (r - (p - 1)) as i64;
+            (md(i + 1 - rp), md(i - rp), false)
+        }
+    };
+
+    // Two-sided drivers build their MPI lane here from the ring's traffic
+    // (every round, rank i sends one chunk to i+1); one-sided drivers need
+    // no setup.
+    let mut messages = Vec::with_capacity((p * rounds) as usize);
+    for node in 0..p {
+        for r in 0..rounds {
+            let (send_chunk, _, _) = geometry(node as i64, r);
+            let bytes = chunk_range(send_chunk, params.elems, p).1 * 4;
+            messages.push((node, (node + 1) % p, bytes));
+        }
+    }
+    let mut driver = comm::driver(params.strategy);
+    driver.setup(&config, &mut mem, chunk_bytes, &messages);
+    let cpu_model = CpuCompute::new(config.host.clone());
 
     let mut programs = Vec::with_capacity(p as usize);
 
@@ -238,19 +259,7 @@ fn run_inner(
         let next = (node + 1) % p;
         let prev = (node + p - 1) % p;
         let nb = bufs[next as usize];
-
-        // Per-round geometry, same for every strategy, as
-        // (send_chunk, recv_chunk, reduce):
-        //   RS round r (0..P-1):  send (i−r), recv (i−r−1) → reduce.
-        //   AG round r' (0..P-1): send (i+1−r'), recv (i−r') → in place.
-        let round_info = |r: u32| -> (u32, u32, bool) {
-            if r < p - 1 {
-                (md(i - r as i64), md(i - r as i64 - 1), true)
-            } else {
-                let rp = (r - (p - 1)) as i64;
-                (md(i + 1 - rp), md(i - rp), false)
-            }
-        };
+        let round_info = |r: u32| geometry(i, r);
 
         // Where does round r's put land on the *receiver* (`next`'s view
         // with its own indices)? The receiver (i+1) computes the same

@@ -49,12 +49,12 @@ use gtn_nic::Tag;
 use gtn_sim::time::SimDuration;
 use std::collections::{HashMap, HashSet};
 
-/// Eager-slot cap for the two-sided lane. Segments above this go through
+/// Cap on the two-sided lane's eager limit. Segments above this go through
 /// the MPI rendezvous protocol (RTS/CTS, zero-copy) instead of consuming
-/// `4×` their size in mailbox memory per channel — a whole-vector tree
-/// round at 512 nodes must not allocate gigabytes of eager buffers.
+/// up to `4×` their size in mailbox memory per channel — a whole-vector
+/// tree round at 512 nodes must not allocate gigabytes of eager buffers.
 /// Exchange rounds (a rank both sends and receives) are exempt: their
-/// segments always fit the slot, because a rendezvous cycle (everyone
+/// segments always go eager, because a rendezvous cycle (everyone
 /// blocked polling CTS from a peer that is itself blocked) would deadlock.
 const EAGER_CAP: u64 = 16 * 1024;
 
@@ -412,12 +412,11 @@ pub fn try_run_with_config(
         })
         .collect();
 
-    // Eager-slot sizing: cap at EAGER_CAP, but exchange rounds (send and
+    // Eager limit: cap at EAGER_CAP, but exchange rounds (send and
     // recv in the same round) must stay eager — see the cap's doc.
     let mut max_seg = 4u64;
     let mut max_exchange_seg = 0u64;
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let mut seen = HashSet::new();
+    let mut messages: Vec<(u32, u32, u64)> = Vec::new();
     for (node, plan) in plans.iter().enumerate() {
         for rp in &plan.rounds {
             for o in &rp.out {
@@ -425,16 +424,14 @@ pub fn try_run_with_config(
                 if !rp.inb.is_empty() {
                     max_exchange_seg = max_exchange_seg.max(o.elems * 4);
                 }
-                if seen.insert((node as u32, o.peer)) {
-                    pairs.push((node as u32, o.peer));
-                }
+                messages.push((node as u32, o.peer, o.elems * 4));
             }
         }
     }
-    let slot_bytes = max_seg.min(EAGER_CAP).max(max_exchange_seg);
+    let eager_limit = max_seg.min(EAGER_CAP).max(max_exchange_seg);
 
     let mut driver = comm::driver(params.strategy);
-    driver.setup_pairs(&config, &mut mem, slot_bytes, &pairs);
+    driver.setup(&config, &mut mem, eager_limit, &messages);
     let cpu_model = CpuCompute::new(config.host.clone());
 
     let mut programs = Vec::with_capacity(p as usize);

@@ -374,10 +374,22 @@ fn run_inner(
         }
     }
 
-    // Two-sided drivers build their MPI lane here (allocating eager
-    // buffers); one-sided drivers need no setup.
+    // Two-sided drivers build their MPI lane here from the halo traffic
+    // (one edge to every neighbour per iteration); one-sided drivers need
+    // no setup.
+    let mut messages = Vec::new();
+    for node in 0..nodes {
+        for (_, peer) in neighbors(
+            node / params.cols,
+            node % params.cols,
+            params.rows,
+            params.cols,
+        ) {
+            messages.extend((0..params.iters).map(|_| (node, peer, n * 4)));
+        }
+    }
     let mut driver = comm::driver(params.strategy);
-    driver.setup(&config, &mut mem, n * 4);
+    driver.setup(&config, &mut mem, n * 4, &messages);
     let cpu_model = CpuCompute::new(config.host.clone());
 
     let mut programs: Vec<HostProgram> = Vec::with_capacity(nodes as usize);

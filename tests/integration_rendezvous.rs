@@ -1,5 +1,5 @@
 //! End-to-end rendezvous-protocol test through the full cluster: a
-//! message larger than the eager slot travels RTS → CTS → zero-copy
+//! message larger than the eager limit travels RTS → CTS → zero-copy
 //! payload put, and the payload lands bit-exact in the receiver's user
 //! buffer with no intermediate mailbox copy.
 
@@ -10,7 +10,7 @@ use gpu_tn::host::{HostConfig, HostProgram};
 use gpu_tn::mem::{Addr, MemPool, NodeId};
 use gpu_tn::sim::time::SimTime;
 
-const EAGER_SLOT: u64 = 1024;
+const EAGER_LIMIT: u64 = 1024;
 
 fn run_transfer(bytes: u64) -> (Vec<u8>, Vec<u8>, SimTime) {
     let config = ClusterConfig::table2(2);
@@ -20,7 +20,7 @@ fn run_transfer(bytes: u64) -> (Vec<u8>, Vec<u8>, SimTime) {
     let payload: Vec<u8> = (0..bytes).map(|i| (i * 31 % 251) as u8).collect();
     mem.write(send_buf, &payload);
 
-    let mut mpi = MpiWorld::new(&mut mem, 2, EAGER_SLOT);
+    let mut mpi = MpiWorld::new(&mut mem, EAGER_LIMIT, &[(0, 1, bytes)]);
     let mut p0 = HostProgram::new();
     p0.extend(mpi.send_ops(NodeId(0), NodeId(1), send_buf, bytes));
     let mut p1 = HostProgram::new();
@@ -44,14 +44,14 @@ fn run_transfer(bytes: u64) -> (Vec<u8>, Vec<u8>, SimTime) {
 
 #[test]
 fn eager_path_below_threshold() {
-    let (sent, received, t) = run_transfer(EAGER_SLOT);
+    let (sent, received, t) = run_transfer(EAGER_LIMIT);
     assert_eq!(sent, received);
     assert!(t < SimTime::from_us(5), "{t}");
 }
 
 #[test]
 fn rendezvous_path_above_threshold() {
-    let (sent, received, _) = run_transfer(EAGER_SLOT + 1);
+    let (sent, received, _) = run_transfer(EAGER_LIMIT + 1);
     assert_eq!(sent, received, "rendezvous corrupted the payload");
     let (sent, received, _) = run_transfer(64 * 1024);
     assert_eq!(sent, received);
@@ -61,14 +61,14 @@ fn rendezvous_path_above_threshold() {
 fn rendezvous_costs_a_round_trip_but_skips_the_copy() {
     // At sizes just around the threshold, rendezvous pays RTS+CTS wire
     // time; at large sizes it wins by skipping the mailbox memcpy.
-    let (_, _, t_eager_1k) = run_transfer(EAGER_SLOT);
-    let (_, _, t_rdv_1k) = run_transfer(EAGER_SLOT + 4);
+    let (_, _, t_eager_1k) = run_transfer(EAGER_LIMIT);
+    let (_, _, t_rdv_1k) = run_transfer(EAGER_LIMIT + 4);
     assert!(
         t_rdv_1k > t_eager_1k,
         "tiny rendezvous should pay the handshake: {t_rdv_1k} vs {t_eager_1k}"
     );
 
-    // Compare a large transfer against an eager world with huge slots
+    // Compare a large transfer against a world whose eager limit admits it
     // (i.e. forced eager at the same size): rendezvous must win on the
     // avoided copy.
     let bytes = 1 << 20;
@@ -79,7 +79,7 @@ fn rendezvous_costs_a_round_trip_but_skips_the_copy() {
         let send_buf = Addr::base(NodeId(0), mem.alloc(NodeId(0), bytes, "send"));
         let recv_buf = Addr::base(NodeId(1), mem.alloc(NodeId(1), bytes, "recv"));
         mem.write(send_buf, &vec![9u8; bytes as usize]);
-        let mut mpi = MpiWorld::new(&mut mem, 2, bytes); // slots big enough
+        let mut mpi = MpiWorld::new(&mut mem, bytes, &[(0, 1, bytes)]); // goes eager
         let mut p0 = HostProgram::new();
         p0.extend(mpi.send_ops(NodeId(0), NodeId(1), send_buf, bytes));
         let mut p1 = HostProgram::new();
@@ -113,7 +113,7 @@ fn pipelined_rendezvous_messages_stay_ordered() {
         let fill = vec![(i + 1) as u8; bytes as usize];
         mem.write(send_buf.offset_by(i * bytes), &fill);
     }
-    let mut mpi = MpiWorld::new(&mut mem, 2, 1024);
+    let mut mpi = MpiWorld::new(&mut mem, 1024, &vec![(0, 1, bytes); n_msgs as usize]);
     let mut p0 = HostProgram::new();
     let mut p1 = HostProgram::new();
     for i in 0..n_msgs {
