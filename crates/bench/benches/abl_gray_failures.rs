@@ -30,8 +30,8 @@
 //!    of a gray fault the tail absorbs before the SLO story changes.
 //!
 //! Emits `BENCH_abl_gray_failures.json` (integer fields only,
-//! bit-identical across reruns, `GTN_SWEEP_THREADS`, and
-//! `GTN_SIM_SHARDS`). `GTN_BENCH_SMOKE` shrinks the sweep for CI.
+//! bit-identical across reruns and `GTN_SWEEP_THREADS`).
+//! `GTN_BENCH_SMOKE` shrinks the sweep for CI.
 
 use gtn_bench::report::{self, obj, s, Json};
 use gtn_bench::sweep;

@@ -24,7 +24,7 @@
 //! absorbs.
 //!
 //! Emits `BENCH_serving_slo.json` (integer fields only, bit-identical
-//! across reruns, `GTN_SWEEP_THREADS`, and `GTN_SIM_SHARDS`).
+//! across reruns and `GTN_SWEEP_THREADS`).
 //! `GTN_BENCH_SMOKE` shrinks the sweep for CI.
 
 use gtn_bench::report::{self, obj, s, Json};

@@ -9,8 +9,9 @@
 //! ```
 //!
 //! `golden` walks the *golden* dir's manifest (baseline coverage must not
-//! shrink); `diff` walks the *actual* dir's manifest (compare exactly the
-//! subset that ran — e.g. the shard determinism gate). Both name the
+//! shrink) and fails on a report the run lists without a golden; `diff`
+//! walks the *actual* dir's manifest (compare exactly the subset that
+//! ran — e.g. the double-run determinism gate). Both name the
 //! differing leaf fields (`points[3].p99_ps: 1200 -> 1350`) when the
 //! drifted report parses as bench JSON.
 //!

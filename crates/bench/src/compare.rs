@@ -278,8 +278,8 @@ fn describe_file_drift(golden: &Path, actual: &Path) -> Result<Option<String>, S
 
 /// Standalone diff gate: compare two report files, or two report dirs
 /// (every file listed in the **actual** dir's manifest — dirs holding a
-/// subset of benches, like the shard gate's, compare exactly what they
-/// ran). Returns a pass description; `Err` names each drifted field.
+/// subset of benches, like the double-run gate's, compare exactly what
+/// they ran). Returns a pass description; `Err` names each drifted field.
 pub fn diff_paths(golden: &Path, actual: &Path) -> Result<String, String> {
     if golden.is_dir() != actual.is_dir() {
         return Err(format!(
@@ -355,7 +355,9 @@ pub fn check_manifest(dir: &Path) -> Result<Vec<String>, String> {
 }
 
 /// Byte-compare every report listed in `golden`'s manifest against the
-/// same file under `actual`. Returns the number of files compared.
+/// same file under `actual`, and reject any report `actual`'s manifest
+/// lists that has no golden (a new bench must record one to be gated).
+/// Returns the number of files compared.
 pub fn diff_against_golden(golden: &Path, actual: &Path) -> Result<usize, String> {
     let entries = report::manifest_entries(&golden.join(report::MANIFEST));
     if entries.is_empty() {
@@ -372,6 +374,11 @@ pub fn diff_against_golden(golden: &Path, actual: &Path) -> Result<usize, String
                 drifted.push(format!("{name} {drift}"));
             }
             Some(drift) => drifted.push(format!("{name} differs from golden: {drift}")),
+        }
+    }
+    for name in report::manifest_entries(&actual.join(report::MANIFEST)) {
+        if !entries.contains(&name) {
+            drifted.push(format!("{name} has no golden"));
         }
     }
     if drifted.is_empty() {
@@ -647,6 +654,25 @@ mod tests {
         fs::write(actual.join("BENCH_a.json"), report(11)).unwrap();
         let err = diff_against_golden(&golden, &actual).unwrap_err();
         assert!(err.contains("p50_ps: 10 -> 11"), "{err}");
+        fs::remove_dir_all(&golden).unwrap();
+        fs::remove_dir_all(&actual).unwrap();
+    }
+
+    #[test]
+    fn golden_diff_rejects_a_report_without_a_golden() {
+        let golden = scratch("golden-unlisted");
+        let actual = scratch("actual-unlisted");
+        write_manifest(&golden, &["BENCH_a.json"]);
+        for d in [&golden, &actual] {
+            fs::write(d.join("BENCH_a.json"), "same\n").unwrap();
+        }
+        write_manifest(&actual, &["BENCH_a.json"]);
+        assert_eq!(diff_against_golden(&golden, &actual).unwrap(), 1);
+        fs::write(actual.join("BENCH_new.json"), "{}\n").unwrap();
+        write_manifest(&actual, &["BENCH_a.json", "BENCH_new.json"]);
+        let err = diff_against_golden(&golden, &actual).unwrap_err();
+        assert!(err.contains("BENCH_new.json has no golden"), "{err}");
+        assert!(!err.contains("BENCH_a.json"), "{err}");
         fs::remove_dir_all(&golden).unwrap();
         fs::remove_dir_all(&actual).unwrap();
     }

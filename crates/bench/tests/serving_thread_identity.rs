@@ -2,8 +2,8 @@
 //! runner: running the same (strategy, process, load) cells on one
 //! worker thread and on several reproduces every report field exactly —
 //! the `GTN_SWEEP_THREADS` determinism the `serving_slo` bench (and its
-//! recorded golden) depends on. The shard-axis twin of this property
-//! lives in `gtn-workloads/tests/proptest_serving.rs`.
+//! recorded golden) depends on. The rerun-under-loss twin of this
+//! property lives in `gtn-workloads/tests/proptest_serving.rs`.
 
 use gtn_bench::sweep;
 use gtn_core::Strategy;

@@ -20,8 +20,6 @@ use gtn_host::{Cpu, CpuEvent, CpuOutput, HostOp, HostProgram};
 use gtn_mem::{MemPool, NodeId};
 use gtn_nic::nic::{Nic, NicEvent, NicNote, NicOutput};
 use gtn_nic::{DeliveryCause, Tag};
-use gtn_sim::engine::RunOutcome;
-use gtn_sim::shard::ShardedQueue;
 use gtn_sim::stats::StatSet;
 use gtn_sim::time::{SimDuration, SimTime};
 use gtn_sim::Engine;
@@ -161,80 +159,6 @@ enum Event {
     },
 }
 
-/// The node an event fires *on* — the calendar shard that owns it. Every
-/// event in the cluster model is anchored to exactly one node (`HbArrive`
-/// belongs to the receiving host agent).
-fn event_node(ev: &Event) -> u32 {
-    match ev {
-        Event::Cpu(n, _) | Event::Gpu(n, _) | Event::Nic(n, _) | Event::HbTick(n) => *n,
-        Event::HbArrive { to, .. } => *to,
-    }
-}
-
-/// The execution backend: one flat calendar (the classic sequential
-/// path, untouched when `sim_shards` resolves to 1), or node-partitioned
-/// sharded calendars k-way merged in exact `(time, seq)` order — see
-/// [`ShardedQueue`] for the bit-identity argument. Nodes map to shards
-/// round-robin (`node % shards`), so neighbouring ranks land on different
-/// shards and a crash in one shard is always observed from another.
-// One `Exec` exists per `Cluster`; boxing the flat engine to shrink the
-// variant gap would only add an indirection on the hottest dispatch path.
-#[allow(clippy::large_enum_variant)]
-enum Exec {
-    Single(Engine<Event>),
-    Sharded {
-        queue: ShardedQueue<Event>,
-        shards: u32,
-    },
-}
-
-impl Exec {
-    fn schedule_at(&mut self, at: SimTime, ev: Event) {
-        match self {
-            Exec::Single(engine) => engine.schedule_at(at, ev),
-            Exec::Sharded { queue, shards } => {
-                let shard = (event_node(&ev) % *shards) as usize;
-                queue.schedule_at(shard, at, ev);
-            }
-        }
-    }
-
-    fn step(&mut self) -> Option<(SimTime, Event)> {
-        match self {
-            Exec::Single(engine) => engine.step(),
-            Exec::Sharded { queue, .. } => queue.step(),
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        match self {
-            Exec::Single(engine) => engine.now(),
-            Exec::Sharded { queue, .. } => queue.now(),
-        }
-    }
-
-    fn events_processed(&self) -> u64 {
-        match self {
-            Exec::Single(engine) => engine.events_processed(),
-            Exec::Sharded { queue, .. } => queue.events_processed(),
-        }
-    }
-
-    fn clamped_past_events(&self) -> u64 {
-        match self {
-            Exec::Single(engine) => engine.clamped_past_events(),
-            Exec::Sharded { queue, .. } => queue.clamped_past_events(),
-        }
-    }
-
-    fn pending(&self) -> usize {
-        match self {
-            Exec::Single(engine) => engine.pending(),
-            Exec::Sharded { queue, .. } => queue.pending(),
-        }
-    }
-}
-
 /// A simulated cluster mid-experiment.
 pub struct Cluster {
     config: ClusterConfig,
@@ -243,7 +167,7 @@ pub struct Cluster {
     cpus: Vec<Cpu>,
     gpus: Vec<Gpu>,
     nics: Vec<Nic>,
-    exec: Exec,
+    engine: Engine<Event>,
     log: Vec<LogRecord>,
     finish_times: Vec<Option<SimTime>>,
     /// GDS hooks: when kernel `label` completes on `node`, ring the NIC
@@ -309,29 +233,16 @@ impl Cluster {
         }
         let fabric = Fabric::new(n, config.fabric.clone());
 
-        // Execution backend: a flat calendar, or sharded calendars merged
-        // in exact (time, seq) order with the fabric's minimum cross-node
-        // latency as the conservative lookahead. Both dispatch the same
-        // bit-identical event sequence.
-        let shards = config.effective_sim_shards();
-        let mut exec = if shards <= 1 {
-            Exec::Single(Engine::new())
-        } else {
-            let lookahead = SimDuration::from_ns(config.fabric.min_cross_node_latency_ns().max(1));
-            Exec::Sharded {
-                queue: ShardedQueue::new(shards as usize, lookahead),
-                shards,
-            }
-        };
+        let mut engine = Engine::new();
         for node in 0..n as u32 {
-            exec.schedule_at(SimTime::ZERO, Event::Cpu(node, CpuEvent::Step));
+            engine.schedule_at(SimTime::ZERO, Event::Cpu(node, CpuEvent::Step));
         }
         // Failure detection: every host agent starts probing at t = 0.
         // Nothing is scheduled when detection is off, so those runs are
         // event-for-event identical to a build without the detector.
         if config.failure.enabled() && n > 1 {
             for node in 0..n as u32 {
-                exec.schedule_at(SimTime::ZERO, Event::HbTick(node));
+                engine.schedule_at(SimTime::ZERO, Event::HbTick(node));
             }
         }
         let node_down = (0..n as u32)
@@ -357,7 +268,7 @@ impl Cluster {
             cpus,
             gpus,
             nics,
-            exec,
+            engine,
             log: Vec::new(),
             finish_times: vec![None; n],
             gds_hooks: HashMap::new(),
@@ -528,16 +439,16 @@ impl Cluster {
         }
         out.insert("fabric", &fabric);
         let mut engine = StatSet::new();
-        engine.add("events_processed", self.exec.events_processed());
-        engine.add("clamped_past_events", self.exec.clamped_past_events());
-        engine.add("events_pending", self.exec.pending() as u64);
+        engine.add("events_processed", self.engine.events_processed());
+        engine.add("clamped_past_events", self.engine.clamped_past_events());
+        engine.add("events_pending", self.engine.pending() as u64);
         out.insert("engine", &engine);
         out
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.exec.now()
+        self.engine.now()
     }
 
     fn record(&mut self, at: SimTime, node: u32, kind: LogKind) {
@@ -563,7 +474,7 @@ impl Cluster {
         let mut last_progress = SimTime::ZERO;
         let mut abort: Option<StallReason> = None;
         loop {
-            let Some((now, ev)) = self.exec.step() else {
+            let Some((now, ev)) = self.engine.step() else {
                 break; // calendar drained: completion or deadlock
             };
             if self.dispatch(now, ev) {
@@ -588,7 +499,7 @@ impl Cluster {
                 });
                 break;
             }
-            if self.exec.events_processed() >= 400_000_000 {
+            if self.engine.events_processed() >= 400_000_000 {
                 abort = Some(StallReason::EventCap); // absolute backstop
                 break;
             }
@@ -624,7 +535,7 @@ impl Cluster {
             finish_times: self.finish_times.clone(),
             makespan,
             completed,
-            events: self.exec.events_processed(),
+            events: self.engine.events_processed(),
             stall,
         }
     }
@@ -673,10 +584,10 @@ impl Cluster {
             .collect();
         let tail = self.log.len().saturating_sub(16);
         StallReport {
-            at: self.exec.now(),
+            at: self.engine.now(),
             reason,
             nodes,
-            clamped_past_events: self.exec.clamped_past_events(),
+            clamped_past_events: self.engine.clamped_past_events(),
             recent: self.log[tail..].to_vec(),
         }
     }
@@ -787,7 +698,7 @@ impl Cluster {
                     self.fabric
                         .send_message_faulty(now, NodeId(s), NodeId(d), HEARTBEAT_BYTES);
                 if matches!(delivery, Delivery::Delivered) {
-                    self.exec
+                    self.engine
                         .schedule_at(timing.last_arrival, Event::HbArrive { to: d, from: s });
                 }
             }
@@ -818,7 +729,7 @@ impl Cluster {
             }
         }
         let period = SimDuration::from_ns(self.config.failure.heartbeat_period_ns);
-        self.exec.schedule_at(now + period, Event::HbTick(s));
+        self.engine.schedule_at(now + period, Event::HbTick(s));
     }
 
     /// Fail every surviving NIC's pending sends toward a declared-dead peer
@@ -870,22 +781,22 @@ impl Cluster {
 
     fn route_cpu(&mut self, n: u32, out: CpuOutput) {
         match out {
-            CpuOutput::Local { at, ev } => self.exec.schedule_at(at, Event::Cpu(n, ev)),
+            CpuOutput::Local { at, ev } => self.engine.schedule_at(at, Event::Cpu(n, ev)),
             CpuOutput::EnqueueKernel { at, launch } => {
                 self.record(at, n, LogKind::KernelEnqueued);
-                self.exec
+                self.engine
                     .schedule_at(at, Event::Gpu(n, GpuEvent::Enqueue(launch)));
             }
             CpuOutput::Doorbell { at, cmd } => {
                 self.record(at, n, LogKind::DoorbellRung);
                 let delay = self.nics[n as usize].doorbell_delay();
-                self.exec
+                self.engine
                     .schedule_at(at + delay, Event::Nic(n, NicEvent::Doorbell(cmd)));
             }
             CpuOutput::TriggerWrite { at, tag } => {
                 self.record(at, n, LogKind::TriggerWrite(tag.0));
                 let delay = self.nics[n as usize].trigger_route_delay();
-                self.exec
+                self.engine
                     .schedule_at(at + delay, Event::Nic(n, NicEvent::TriggerWrite(tag)));
             }
             CpuOutput::Finished { at } => {
@@ -897,17 +808,17 @@ impl Cluster {
 
     fn route_gpu(&mut self, n: u32, out: GpuOutput) {
         match out {
-            GpuOutput::Local { at, ev } => self.exec.schedule_at(at, Event::Gpu(n, ev)),
+            GpuOutput::Local { at, ev } => self.engine.schedule_at(at, Event::Gpu(n, ev)),
             GpuOutput::TriggerWrite { at, tag } => {
                 self.record(at, n, LogKind::TriggerWrite(tag.0));
                 let delay = self.nics[n as usize].trigger_route_delay();
-                self.exec
+                self.engine
                     .schedule_at(at + delay, Event::Nic(n, NicEvent::TriggerWrite(tag)));
             }
             GpuOutput::TriggerWriteDyn { at, tag, fields } => {
                 self.record(at, n, LogKind::TriggerWrite(tag.0));
                 let delay = self.nics[n as usize].trigger_route_delay();
-                self.exec.schedule_at(
+                self.engine.schedule_at(
                     at + delay,
                     Event::Nic(n, NicEvent::TriggerWriteDyn(tag, fields)),
                 );
@@ -927,12 +838,12 @@ impl Cluster {
                     let delay = self.nics[n as usize].trigger_route_delay();
                     for &tag in tags.clone().iter() {
                         self.record(ring, n, LogKind::TriggerWrite(tag.0));
-                        self.exec
+                        self.engine
                             .schedule_at(ring + delay, Event::Nic(n, NicEvent::TriggerWrite(tag)));
                     }
                 }
                 // Host runtime observes completion.
-                self.exec
+                self.engine
                     .schedule_at(at, Event::Cpu(n, CpuEvent::KernelDone(label)));
             }
         }
@@ -940,9 +851,9 @@ impl Cluster {
 
     fn route_nic(&mut self, n: u32, out: NicOutput) {
         match out {
-            NicOutput::Local { at, ev } => self.exec.schedule_at(at, Event::Nic(n, ev)),
+            NicOutput::Local { at, ev } => self.engine.schedule_at(at, Event::Nic(n, ev)),
             NicOutput::Remote { node, at, ev } => {
-                self.exec.schedule_at(at, Event::Nic(node.0, ev));
+                self.engine.schedule_at(at, Event::Nic(node.0, ev));
             }
         }
     }
@@ -955,60 +866,14 @@ impl Cluster {
 
     /// Engine drain state (for tests poking at partial runs).
     pub fn pending_events(&self) -> usize {
-        self.exec.pending()
+        self.engine.pending()
     }
 
     /// Run outcome sanity helper used by tests: did the engine drain?
     pub fn drained(&self) -> bool {
-        self.exec.pending() == 0
-    }
-
-    /// The calendar shard count this cluster actually runs with (1 = the
-    /// flat sequential calendar).
-    pub fn sim_shards(&self) -> u32 {
-        match &self.exec {
-            Exec::Single(_) => 1,
-            Exec::Sharded { shards, .. } => *shards,
-        }
-    }
-
-    /// Events scheduled across a shard boundary (always 0 on the flat
-    /// path). Diagnostic only — never part of golden stats output, so the
-    /// shard count cannot leak into results.
-    pub fn cross_shard_messages(&self) -> u64 {
-        match &self.exec {
-            Exec::Single(_) => 0,
-            Exec::Sharded { queue, .. } => queue.cross_shard_messages(),
-        }
-    }
-
-    /// Cross-shard events scheduled closer than the fabric's minimum
-    /// cross-node latency — violations of the conservative-lookahead
-    /// premise. The merged dispatch stays exact regardless; tests assert
-    /// this is 0 so the premise is *verified*, not assumed.
-    pub fn lookahead_violations(&self) -> u64 {
-        match &self.exec {
-            Exec::Single(_) => 0,
-            Exec::Sharded { queue, .. } => queue.lookahead_violations(),
-        }
-    }
-
-    /// Per-shard clocks (timestamp of each shard's last dispatched event):
-    /// the stall watchdog's cross-shard view. On the flat path this is the
-    /// single merged clock.
-    pub fn shard_clocks(&self) -> Vec<SimTime> {
-        match &self.exec {
-            Exec::Single(engine) => vec![engine.now()],
-            Exec::Sharded { queue, .. } => (0..queue.n_shards())
-                .map(|s| queue.shard_clock(s))
-                .collect(),
-        }
+        self.engine.pending() == 0
     }
 }
-
-// RunOutcome re-export kept for API completeness of run_until-style uses.
-#[allow(unused_imports)]
-use RunOutcome as _;
 
 #[cfg(test)]
 mod tests {
@@ -1024,14 +889,7 @@ mod tests {
     /// launches a kernel that fills the buffer and triggers mid-kernel;
     /// node 1's CPU polls for the payload.
     fn gputn_ping() -> (Cluster, Addr, Addr) {
-        gputn_ping_sharded(0)
-    }
-
-    /// [`gputn_ping`] with the calendar pinned to `sim_shards` shards
-    /// (0 = the default sequential path).
-    fn gputn_ping_sharded(sim_shards: u32) -> (Cluster, Addr, Addr) {
-        let mut config = ClusterConfig::table2(2);
-        config.sim_shards = sim_shards;
+        let config = ClusterConfig::table2(2);
         let mut mem = MemPool::new(2);
         let src = Addr::base(NodeId(0), mem.alloc(NodeId(0), 64, "src"));
         let dst = Addr::base(NodeId(1), mem.alloc(NodeId(1), 64, "dst"));
@@ -1111,38 +969,6 @@ mod tests {
             commit < kernel_done,
             "GPU-TN should deliver intra-kernel: commit {commit} vs done {kernel_done}"
         );
-    }
-
-    #[test]
-    fn sharded_ping_is_bit_identical_and_respects_lookahead() {
-        // One shard per node: the ping crosses shards on every network
-        // hop, yet the sharded calendar must dispatch the identical event
-        // sequence — same makespan, same activity log, same engine stats —
-        // with zero sub-lookahead cross-shard messages.
-        let (mut seq, dst, flag) = gputn_ping_sharded(0);
-        let seq_result = seq.run();
-        let (mut par, pdst, pflag) = gputn_ping_sharded(2);
-        assert_eq!(par.sim_shards(), 2);
-        let par_result = par.run();
-        assert!(par_result.completed, "{par_result:?}");
-        assert_eq!(par.mem().read(pdst, 64), seq.mem().read(dst, 64));
-        assert_eq!(par.mem().read_u64(pflag), seq.mem().read_u64(flag));
-        assert_eq!(par_result.makespan, seq_result.makespan);
-        assert_eq!(par_result.events, seq_result.events);
-        assert_eq!(
-            format!("{:?}", par.log()),
-            format!("{:?}", seq.log()),
-            "sharding reordered the activity log"
-        );
-        assert!(
-            par.cross_shard_messages() > 0,
-            "a 2-node ping on 2 shards must cross shards"
-        );
-        assert_eq!(par.lookahead_violations(), 0);
-        // The sequential path reports a single merged clock; the sharded
-        // path one clock per shard, none ahead of the merged now.
-        assert_eq!(seq.shard_clocks().len(), 1);
-        assert_eq!(par.shard_clocks().len(), 2);
     }
 
     #[test]

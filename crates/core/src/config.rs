@@ -35,14 +35,6 @@ pub struct ClusterConfig {
     /// by default: no probe events exist, so runs without it are
     /// bit-identical to the pre-detection model.
     pub failure: FailureConfig,
-    /// Calendar shard count for the simulation engine. `0` (the default)
-    /// resolves from the `GTN_SIM_SHARDS` environment knob, falling back
-    /// to `1` — one flat calendar, the classic sequential path. Any value
-    /// is clamped to `n_nodes`; every count dispatches the **same**
-    /// bit-identical event sequence (see `gtn_sim::shard::ShardedQueue`),
-    /// so this knob can never change results, only execution structure.
-    #[serde(default)]
-    pub sim_shards: u32,
 }
 
 impl ClusterConfig {
@@ -61,21 +53,7 @@ impl ClusterConfig {
             // never fires on a run that is still (slowly) making progress.
             stall_timeout_ns: 50_000_000,
             failure: FailureConfig::off(),
-            sim_shards: 0,
         }
-    }
-
-    /// The shard count a cluster built from this config will actually use:
-    /// `sim_shards`, or — when 0 — the `GTN_SIM_SHARDS` environment knob,
-    /// or 1; always clamped to `[1, n_nodes]` (a shard needs at least one
-    /// node, and extra empty shards would only add merge overhead).
-    pub fn effective_sim_shards(&self) -> u32 {
-        let requested = if self.sim_shards == 0 {
-            gtn_sim::shard::shards_from_env().unwrap_or(1)
-        } else {
-            self.sim_shards
-        };
-        requested.clamp(1, self.n_nodes.max(1))
     }
 
     /// Validate all component configurations.

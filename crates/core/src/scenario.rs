@@ -38,12 +38,6 @@ pub struct ConfigPatch {
     /// cadence). `None` leaves detection off: a crash then surfaces only
     /// through the stall watchdog.
     pub detect: Option<RecoveryPolicy>,
-    /// Pin the engine's calendar shard count (see
-    /// [`ClusterConfig::effective_sim_shards`]). `None` keeps the config
-    /// default (the `GTN_SIM_SHARDS` knob / sequential path). Sharding
-    /// never changes results — this exists so tests can run the same
-    /// scenario at several shard counts and assert bit-identity.
-    pub sim_shards: Option<u32>,
     /// Replace the physical interconnect shape (`None` keeps the
     /// workload's default, the paper's star). The fabric expands the shape
     /// into an explicit switch/link graph, so the same workload sweeps
@@ -136,7 +130,6 @@ impl ConfigPatch {
         pressure: None,
         crash: None,
         detect: None,
-        sim_shards: None,
         topo: None,
         degrade: None,
         failure: None,
@@ -225,12 +218,6 @@ impl ConfigPatch {
         self
     }
 
-    /// Combine this patch with a pinned calendar shard count.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.sim_shards = Some(shards);
-        self
-    }
-
     /// Apply the overrides to a cluster config (after workload defaults).
     pub fn apply(&self, config: &mut ClusterConfig) {
         if let Some(topo) = self.topo {
@@ -279,9 +266,6 @@ impl ConfigPatch {
         }
         if let Some(delay) = self.reroute_delay_ns {
             config.fabric.reroute_delay_ns = Some(delay);
-        }
-        if let Some(shards) = self.sim_shards {
-            config.sim_shards = shards;
         }
         if let Some(limits) = self.pressure {
             if let Some(ways) = limits.trigger_ways {

@@ -65,21 +65,6 @@ impl Default for FabricConfig {
 }
 
 impl FabricConfig {
-    /// Minimum latency of any cross-node interaction, nanoseconds. On every
-    /// switched topology (star, fat-tree, dragonfly) a cross-node path
-    /// crosses at least one link and one switch (actual deliveries pay at
-    /// least two link hops plus serialization on top); the full mesh has no
-    /// switch, so only the wire latency bounds it. This is a sound
-    /// conservative lookahead for sharded simulation: nothing a node does
-    /// at time `t` can affect another node before
-    /// `t + min_cross_node_latency_ns()`.
-    pub fn min_cross_node_latency_ns(&self) -> u64 {
-        match self.topology {
-            Topology::FullMesh => self.link_latency_ns,
-            _ => self.link_latency_ns + self.switch_latency_ns,
-        }
-    }
-
     /// Validate invariants; called by [`crate::Fabric::new`].
     pub fn validate(&self) -> Result<(), String> {
         if self.link_gbps <= 0.0 {

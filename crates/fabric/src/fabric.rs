@@ -36,7 +36,7 @@ pub struct MessageTiming {
 pub struct RerouteRecord {
     /// When the withdrawal took effect (the failure onset plus the
     /// configured `reroute_delay_ns` — the scheduled time, not the
-    /// discovery time, so records are shard-count invariant).
+    /// discovery time).
     pub at: SimTime,
     /// Source host.
     pub src: u32,
@@ -80,8 +80,8 @@ pub struct Fabric {
     /// Scheduled route withdrawals, sorted by (time, edge): edge crashes
     /// and persistent degrades each withdraw both directed edges at onset
     /// plus the configured reroute delay. Applied lazily — fabric calls
-    /// arrive in deterministic merged time order, so the first call at or
-    /// past the deadline applies it identically across shard counts.
+    /// arrive in deterministic time order, so the first call at or past
+    /// the deadline applies it identically on every rerun.
     pending_withdrawals: Vec<(SimTime, u32)>,
     /// Structured failover log, one record per repaired (or partitioned)
     /// host pair.

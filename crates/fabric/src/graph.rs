@@ -163,9 +163,9 @@ impl FabricGraph {
     /// tables over the survivors — the route-around primitive. The rerun
     /// BFS uses the same deterministic order and the same ECMP seed as
     /// construction, so the repaired tables are a pure function of
-    /// (topology, seed, withdrawn set): bit-identical across reruns and
-    /// shard counts. Withdrawing an already-withdrawn edge is a no-op;
-    /// the rebuild is skipped when nothing changed.
+    /// (topology, seed, withdrawn set): bit-identical across reruns.
+    /// Withdrawing an already-withdrawn edge is a no-op; the rebuild is
+    /// skipped when nothing changed.
     pub fn withdraw_edges(&mut self, edge_ids: impl IntoIterator<Item = u32>) {
         let mut changed = false;
         for e in edge_ids {

@@ -12,7 +12,7 @@
 //!    `(topology, n, seed, withdrawn set)`: withdrawing the same edges in
 //!    any order, with duplicates, on a fresh graph reproduces identical
 //!    routes for every pair — the property that makes lazy reroute
-//!    application shard-invariant in the parallel engine.
+//!    application replay bit-identically.
 //! 3. **Monotone damage** — withdrawals only ever shrink reachability;
 //!    a pair disconnected by a smaller withdrawn set stays disconnected
 //!    under any superset.

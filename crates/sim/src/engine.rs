@@ -168,8 +168,7 @@ impl<E> Engine<E> {
     /// the clock parks at `horizon` so back-to-back calls compose. This is
     /// the single documented semantic shared with the calendar's fused
     /// [`crate::event::EventQueue::pop_at_most`] hot loop (both of its
-    /// branches) — callers that need an *exclusive* bound, like the sharded
-    /// engine's conservative barrier in [`crate::shard`], pass
+    /// branches) — callers that need an *exclusive* bound pass
     /// `bound - 1 ps` rather than relying on any off-by-one here.
     pub fn run_until(
         &mut self,
@@ -276,12 +275,12 @@ mod tests {
 
     #[test]
     fn event_exactly_at_lookahead_horizon_fires_in_both_calendar_branches() {
-        // Regression for the shard-barrier boundary: an event timestamped
+        // Regression for the horizon boundary: an event timestamped
         // exactly at the horizon must fire (inclusive), and one at
         // horizon + 1 ps must not — through the front-cache branch (single
         // pending event) and through the tier branch (several pending).
-        let horizon = SimTime::from_ns(200); // a link+switch lookahead
-                                             // Front-cache branch.
+        let horizon = SimTime::from_ns(200);
+        // Front-cache branch.
         let mut eng: Engine<&str> = Engine::new();
         eng.schedule_at(horizon, "at");
         let mut seen = Vec::new();
@@ -303,8 +302,8 @@ mod tests {
         assert_eq!(seen, vec!["early", "at"]);
         assert_eq!(eng.pending(), 1);
         assert_eq!(eng.now(), horizon);
-        // The exclusive-bound idiom the sharded barrier uses: bound - 1 ps
-        // leaves the exactly-at-bound event for the next round.
+        // The exclusive-bound idiom: bound - 1 ps leaves the
+        // exactly-at-bound event for the next call.
         let mut eng: Engine<&str> = Engine::new();
         eng.schedule_at(horizon, "at-bound");
         let mut seen = Vec::new();

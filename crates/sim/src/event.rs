@@ -110,13 +110,9 @@ impl Ord for Entry {
 /// The horizon is **inclusive**: an event timestamped *exactly* at the
 /// horizon pops; only events *strictly after* it report [`PopAtMost::Later`].
 /// Both branches of the fused hot loop (the front cache and the tier path)
-/// implement this one semantic, [`crate::engine::Engine::run_until`]
-/// inherits it, and the sharded engine's conservative barrier
-/// ([`crate::shard`]) depends on it: a shard granted the window
-/// `[floor, floor + lookahead)` runs it as
-/// `pop_at_most(floor + lookahead - 1 ps)`, so an event at exactly the
-/// lookahead horizon waits for the next round, where a neighbour's
-/// message can still be merged ahead of it.
+/// implement this one semantic, and [`crate::engine::Engine::run_until`]
+/// inherits it. A caller that needs an exclusive bound passes
+/// `bound - 1 ps`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PopAtMost<E> {
     /// No events are pending.

@@ -32,11 +32,9 @@
 pub mod engine;
 pub mod event;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
 pub use engine::{Engine, RunOutcome};
-pub use shard::{ShardCtx, ShardRunOutcome, ShardedEngine, ShardedQueue};
 pub use time::{SimDuration, SimTime};

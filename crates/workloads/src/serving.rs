@@ -19,7 +19,7 @@
 //! pingpong run ([`crate::pingpong::try_run_flavor`]) prices an RPC and
 //! one small ring Allreduce ([`crate::allreduce::try_run_with_config`])
 //! prices a collective, both under the scenario's exact
-//! [`ConfigPatch`] (seeded loss, resource pressure, calendar shards).
+//! [`ConfigPatch`] (seeded loss, resource pressure).
 //! Those per-job costs then drive an integer-picosecond multi-server
 //! queueing simulation in which every in-system job holds a real entry
 //! in a **partitioned** [`gtn_nic::TriggerList`] — so CAM pressure,
@@ -35,9 +35,8 @@
 //!
 //! Everything — arrivals, calibration, queueing — derives from the
 //! scenario seed and integer arithmetic, so reports are bit-identical
-//! across reruns, `GTN_SWEEP_THREADS`, and `GTN_SIM_SHARDS` (the
-//! calibration runs are shard-invariant by construction; the queueing
-//! layer is pure sequential code).
+//! across reruns and `GTN_SWEEP_THREADS` (the queueing layer is pure
+//! sequential code).
 //!
 //! [`Serving`] implements [`Workload`] for the harness/bench plumbing
 //! (strategy filters, unified results) but is deliberately **not** in
