@@ -6,9 +6,16 @@
 //! mailbox slots plus an arrival counter. `send` is a NIC put into the next
 //! slot that bumps the counter; `recv` polls the counter, then copies the
 //! slot into the user buffer (paying the receive stack and memcpy time).
-//! Slot rotation gives the sender bounded run-ahead, like a real eager
-//! buffer pool. The world is built from the run's declared messages, so
-//! mailbox memory scales with the traffic, not with the node count squared.
+//! The world is built from the run's declared messages, so mailbox memory
+//! scales with the traffic, not with the node count squared.
+//!
+//! Slots rotate (`seq % n_slots`) with no credit from the receiver, so
+//! nothing bounds the sender's run-ahead: a sender more than `n_slots`
+//! messages ahead of its receiver's copies overwrites an unread slot. A
+//! lock-step lossless run never gets that far ahead. Under loss it can:
+//! the ARQ holds back a retransmitted message and then commits the ones
+//! behind it in a burst. The 1%-loss ring Allreduce shows it at 8 and 32
+//! nodes on CPU and at 32 nodes on HDN (ranks disagree).
 //!
 //! Messages larger than the eager limit use the **rendezvous protocol**:
 //! the sender puts a ready-to-send (RTS) record; the receiver answers with
@@ -30,10 +37,11 @@ use gtn_nic::op::{NetOp, Notify};
 use std::collections::HashMap;
 
 /// Most mailbox slots a directed channel gets. Lock-step round-based
-/// patterns (halo exchange, ring collectives) never run more than a couple
-/// of messages ahead; four slots gives comfortable margin and the tests
-/// verify payload integrity end-to-end. A channel that carries fewer eager
-/// messages gets one slot per message, so no slot is ever reused.
+/// patterns (halo exchange, ring collectives) stay within four messages
+/// of their receiver on a lossless fabric, but nothing enforces it: the
+/// slots carry no receiver credit (see the module doc). A channel that
+/// carries fewer eager messages gets one slot per message, so no slot is
+/// ever reused.
 pub const SLOTS: u64 = 4;
 
 #[derive(Debug)]

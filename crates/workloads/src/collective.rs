@@ -15,16 +15,29 @@
 //! - Each node owns a per-round flag array; every inbound segment's put
 //!   notifies `flags[round]`, so "round r's data is here" is one counter
 //!   compare regardless of schedule shape.
-//! - Incoming `Reduce` segments land in a per-node staging arena (each
-//!   round's segment at its own offset — no slot reuse, no overwrite
-//!   hazard); `Replace` segments land directly in the destination vector.
+//! - Incoming `Reduce` segments land in staging slots: each (receiver,
+//!   sender) pair gets `min(STAGE_SLOTS, n)` slots for its `n` Reduce
+//!   segments, each sized by the pair's largest one, and segment `k` uses
+//!   slot `k % slots`. `Replace` segments land directly in the destination
+//!   vector.
 //!
-//! Strategy lowerings mirror the ring Allreduce of [`crate::allreduce`]:
-//! CPU/HDN speak matched send/recv over the eager MPI lane (HDN folds in
-//! per-round kernels), GDS pre-registers each round's puts to fire at the
-//! previous round's kernel-boundary doorbell, and GPU-TN runs the whole
-//! schedule inside one persistent kernel that releases triggers, polls the
-//! round flags, and reduces in place.
+//! Strategy lowerings: CPU/HDN speak matched send/recv over the eager MPI
+//! lane (HDN folds in per-round kernels), GDS pre-registers each round's
+//! puts to fire at the previous round's kernel-boundary doorbell, and
+//! GPU-TN runs the whole schedule inside one persistent kernel that
+//! releases triggers, polls the round flags, and reduces in place. The ring
+//! Allreduce of Fig. 10 ([`crate::allreduce`]) is this lowering of
+//! [`Collective::RingAllreduce`].
+//!
+//! A reused slot is safe on CPU/HDN because `recv` is program-ordered after
+//! the previous occupant's fold. A one-sided put lands whenever the sender
+//! fires it, so on GDS/GPU-TN a put into a reused slot waits for a
+//! **credit**: once the receiver has folded the slot's previous occupant it
+//! fires a 0-byte put back to the sender whose notify chains a trigger
+//! write ([`Notify::count_then_trigger`]) onto the tag of the gated put,
+//! registered with threshold 2 (the sender's own trigger plus the credit).
+//! GDS fires credits from the fold kernel's doorbell; GPU-TN releases them
+//! in the persistent kernel right after the next round's data triggers.
 //!
 //! Verification is a bit-exact sequential replay ([`replay`]): the same
 //! schedules executed lock-step on plain `f32` vectors, snapshotting sends
@@ -33,6 +46,7 @@
 
 use crate::allreduce::{cpu_reduce_time, gpu_reduce_time, input_value};
 use crate::harness::{Harness, JobFailure, ScenarioParams, ScenarioResult};
+use gtn_core::cluster::Cluster;
 use gtn_core::comm::{self, GpuTnDriver};
 use gtn_core::config::ClusterConfig;
 use gtn_core::Strategy;
@@ -47,7 +61,12 @@ use gtn_nic::lookup::LookupKind;
 use gtn_nic::op::{NetOp, Notify};
 use gtn_nic::Tag;
 use gtn_sim::time::SimDuration;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+
+/// Most staging slots a (receiver, sender) pair gets. A ring runs at most
+/// a few rounds ahead of its successor's folds; the credits keep a
+/// one-sided sender from overrunning a slot that is still unfolded.
+const STAGE_SLOTS: usize = 4;
 
 /// Cap on the two-sided lane's eager limit. Segments above this go through
 /// the MPI rendezvous protocol (RTS/CTS, zero-copy) instead of consuming
@@ -148,8 +167,15 @@ struct InSeg {
     elem_off: u64,
     elems: u64,
     disp: Disposition,
-    /// Byte offset in the staging arena (Reduce segments only).
+    /// Byte offset of the segment's staging slot (Reduce segments only).
     stage_off: u64,
+    /// The slot held an earlier segment of this pair: a one-sided put
+    /// into it waits for the receiver's credit.
+    gated: bool,
+    /// `(round, tag)`: the pair's segment of `round` reuses this slot next,
+    /// so once this one is folded the receiver credits that put, firing
+    /// the credit under its own trigger `tag`.
+    credit: Option<(usize, Tag)>,
 }
 
 /// One coalesced outbound message.
@@ -160,6 +186,9 @@ struct OutSeg {
     n_chunks: u32,
     elem_off: u64,
     elems: u64,
+    /// Trigger tag of the put, unique across the node's schedule (the
+    /// trigger list holds one op per tag).
+    tag: Tag,
 }
 
 #[derive(Debug, Default)]
@@ -173,7 +202,7 @@ struct RoundPlan {
 #[derive(Debug)]
 struct NodePlan {
     rounds: Vec<RoundPlan>,
-    /// Total staging arena bytes across all rounds.
+    /// Staging bytes: every pair's slots.
     stage_bytes: u64,
 }
 
@@ -187,7 +216,7 @@ fn seg_range(first: u32, n: u32, elems: u64, n_chunks: u32) -> (u64, u64) {
 /// Compile one rank's schedule into per-round message segments.
 fn plan_node(s: &Schedule, elems: u64) -> NodePlan {
     let nc = s.n_chunks;
-    let mut stage_bytes = 0u64;
+    let mut next_tag = 0u64;
     let mut rounds = Vec::with_capacity(s.rounds.len());
     for round in &s.rounds {
         let mut disp: HashMap<u32, Disposition> = HashMap::new();
@@ -218,7 +247,9 @@ fn plan_node(s: &Schedule, elems: u64) -> NodePlan {
                         n_chunks: 1,
                         elem_off: 0,
                         elems: 0,
+                        tag: Tag(next_tag),
                     });
+                    next_tag += 1;
                 }
                 NbcOp::Recv { peer, chunk } => {
                     let d = *disp
@@ -241,6 +272,8 @@ fn plan_node(s: &Schedule, elems: u64) -> NodePlan {
                         elems: 0,
                         disp: d,
                         stage_off: 0,
+                        gated: false,
+                        credit: None,
                     });
                 }
                 _ => {}
@@ -268,12 +301,40 @@ fn plan_node(s: &Schedule, elems: u64) -> NodePlan {
             i.elem_off = off;
             i.elems = len;
             if i.disp == Disposition::Reduce {
-                i.stage_off = stage_bytes;
-                stage_bytes += len * 4;
                 rp.reduce_elems += len;
             }
         }
         rounds.push(rp);
+    }
+
+    // Staging: each sender's Reduce segments, in round order, take turns
+    // in that pair's slots.
+    let mut pairs: BTreeMap<u32, Vec<(usize, usize)>> = BTreeMap::new();
+    for (r, rp) in rounds.iter().enumerate() {
+        for (k, i) in rp.inb.iter().enumerate() {
+            if i.disp == Disposition::Reduce {
+                pairs.entry(i.peer).or_default().push((r, k));
+            }
+        }
+    }
+    let mut stage_bytes = 0u64;
+    for segs in pairs.values() {
+        let slots = segs.len().min(STAGE_SLOTS);
+        let slot_bytes = segs
+            .iter()
+            .map(|&(r, k)| rounds[r].inb[k].elems * 4)
+            .max()
+            .unwrap_or(0);
+        for (n, &(r, k)) in segs.iter().enumerate() {
+            let i = &mut rounds[r].inb[k];
+            i.stage_off = stage_bytes + (n % slots) as u64 * slot_bytes;
+            i.gated = n >= slots;
+            i.credit = segs.get(n + slots).map(|&(later, _)| {
+                next_tag += 1;
+                (later, Tag(next_tag - 1))
+            });
+        }
+        stage_bytes += slots as u64 * slot_bytes;
     }
     NodePlan {
         rounds,
@@ -287,6 +348,8 @@ struct NodeBufs {
     stage: Addr,
     flags: Addr,
     comp: Addr,
+    /// Arrival counter of the credits this node receives.
+    credit: Addr,
 }
 
 /// Sequential lock-step replay of `schedules` on plain vectors: the
@@ -370,8 +433,29 @@ pub fn try_run_with_config(
     params: CollectiveParams,
     mutate: impl FnOnce(&mut ClusterConfig),
 ) -> Result<CollectiveResult, JobFailure> {
+    let (cluster, vecs, scenario) = execute(name, kind, params, None, mutate)?;
+    let vectors = vecs
+        .iter()
+        .map(|&v| cluster.mem().read_f32s(v, params.elems as usize))
+        .collect();
+    Ok(CollectiveResult { scenario, vectors })
+}
+
+/// Lower `kind` onto the cluster and run it. Position `k` contributes
+/// rank `ranks[k]`'s input vector (rank `k`'s without a map). Returns the
+/// finished cluster, every position's vector address and the result.
+pub(crate) fn execute(
+    name: &'static str,
+    kind: Collective,
+    params: CollectiveParams,
+    ranks: Option<&[u32]>,
+    mutate: impl FnOnce(&mut ClusterConfig),
+) -> Result<(Cluster, Vec<Addr>, ScenarioResult), JobFailure> {
     let p = params.nodes;
     assert!(p >= 2, "collectives need at least 2 nodes");
+    if let Some(map) = ranks {
+        assert_eq!(map.len(), p as usize, "one original rank per position");
+    }
     let schedules = kind.schedules(p);
     let nc = schedules[0].n_chunks;
     let rcount = schedules[0].rounds.len();
@@ -403,9 +487,11 @@ pub fn try_run_with_config(
                 ),
                 flags: Addr::base(id, mem.alloc(id, rcount as u64 * 8, "col.flags")),
                 comp: Addr::base(id, mem.alloc(id, 8, "col.comp")),
+                credit: Addr::base(id, mem.alloc(id, 8, "col.credit")),
             };
+            let rank = ranks.map_or(node, |m| m[node as usize]);
             let vals: Vec<f32> = (0..params.elems)
-                .map(|j| input_value(params.seed, node, j))
+                .map(|j| input_value(params.seed, rank, j))
                 .collect();
             mem.write_f32s(b.vec, &vals);
             b
@@ -439,9 +525,11 @@ pub fn try_run_with_config(
         let plan = &plans[node as usize];
         let b = bufs[node as usize];
 
-        // The put realizing outbound segment `o` of round `r`: destination
-        // and notify flag come from the receiver's mirrored inbound plan.
-        let put_for = |r: usize, o: &OutSeg, completion: bool| -> NetOp {
+        // The put realizing outbound segment `o` of round `r`, with its
+        // trigger threshold: destination and notify flag come from the
+        // receiver's mirrored inbound plan, and a put into a reused slot
+        // also waits for the receiver's credit.
+        let put_for = |r: usize, o: &OutSeg, completion: bool| -> (NetOp, u64) {
             let mirror = plans[o.peer as usize].rounds[r]
                 .inb
                 .iter()
@@ -457,18 +545,49 @@ pub fn try_run_with_config(
                 Disposition::Reduce => pb.stage.offset_by(mirror.stage_off),
                 Disposition::Replace => pb.vec.offset_by(mirror.elem_off * 4),
             };
-            NetOp::Put {
+            let put = NetOp::Put {
                 src: b.vec.offset_by(o.elem_off * 4),
                 len: o.elems * 4,
                 target: NodeId(o.peer),
                 dst,
-                notify: Some(Notify {
-                    flag: pb.flags.offset_by(r as u64 * 8),
-                    add: 1,
-                    chain: None,
-                }),
+                notify: Some(Notify::count(pb.flags.offset_by(r as u64 * 8))),
                 completion: completion.then_some(b.comp),
-            }
+            };
+            (put, if mirror.gated { 2 } else { 1 })
+        };
+
+        // The credits this node owes once round `r` is folded, as (own
+        // trigger tag, 0-byte put to the sender). The put bumps the
+        // sender's credit counter and chains the tag of the gated put.
+        let credits = |r: usize| -> Vec<(Tag, NetOp)> {
+            plan.rounds[r]
+                .inb
+                .iter()
+                .filter_map(|i| {
+                    let (later, tag) = i.credit?;
+                    let sender = bufs[i.peer as usize];
+                    let gated_put = plans[i.peer as usize].rounds[later]
+                        .out
+                        .iter()
+                        .find(|o| o.peer == node)
+                        .expect("sender's schedule mirrors this recv");
+                    let credit = NetOp::Put {
+                        src: b.credit,
+                        len: 0,
+                        target: NodeId(i.peer),
+                        dst: sender.credit,
+                        notify: Some(Notify::count_then_trigger(sender.credit, gated_put.tag)),
+                        completion: None,
+                    };
+                    Some((tag, credit))
+                })
+                .collect()
+        };
+        let credit_tags = |r: usize| {
+            plan.rounds[r]
+                .inb
+                .iter()
+                .filter_map(|i| i.credit.map(|(_, tag)| tag))
         };
 
         // The fold list of round `r`: (vec dst, stage src, elements).
@@ -492,24 +611,6 @@ pub fn try_run_with_config(
                 mem.zip_f32s(dst, src, n as usize, |local, incoming| local + incoming)
                     .expect("reduce in bounds");
             }
-        };
-
-        // One tag per outbound segment, unique across the node's schedule
-        // (the trigger list holds one op per tag).
-        let tags: Vec<Vec<Tag>> = {
-            let mut next = 0u64;
-            plan.rounds
-                .iter()
-                .map(|rp| {
-                    rp.out
-                        .iter()
-                        .map(|_| {
-                            next += 1;
-                            Tag(next - 1)
-                        })
-                        .collect()
-                })
-                .collect()
         };
 
         let mut prog = HostProgram::new();
@@ -561,15 +662,19 @@ pub fn try_run_with_config(
             Strategy::Gds => {
                 // Round 0's sends move initial data: the CPU posts them
                 // directly. Every later round's sends are pre-registered
-                // and fire at the previous round's kernel boundary.
+                // and fire at the previous round's kernel boundary; each
+                // round's credits fire at its fold kernel's boundary.
                 for o in &plan.rounds[0].out {
-                    driver.post(&mut prog, put_for(0, o, false));
+                    driver.post(&mut prog, put_for(0, o, false).0);
                 }
                 for r in 0..rcount {
-                    if r + 1 < rcount {
-                        for (o, &tag) in plan.rounds[r + 1].out.iter().zip(&tags[r + 1]) {
-                            driver.register(&mut prog, tag, 1, put_for(r + 1, o, false));
-                        }
+                    let next = plan.rounds.get(r + 1).map_or(&[][..], |rp| &rp.out[..]);
+                    for o in next {
+                        let (put, threshold) = put_for(r + 1, o, false);
+                        driver.register(&mut prog, o.tag, threshold, put);
+                    }
+                    for (tag, credit) in credits(r) {
+                        driver.register(&mut prog, tag, 1, credit);
                     }
                     let rp = &plan.rounds[r];
                     if !rp.inb.is_empty() {
@@ -590,20 +695,24 @@ pub fn try_run_with_config(
                     let kernel = builder.build().expect("valid kernel");
                     prog.launch(KernelLaunch::new(kernel, 1, 64, &label));
                     prog.wait_kernel(&label);
-                    if r + 1 < rcount {
-                        for &tag in &tags[r + 1] {
-                            driver.on_kernel_done(node, &label, tag);
-                        }
+                    for tag in next.iter().map(|o| o.tag).chain(credit_tags(r)) {
+                        driver.on_kernel_done(node, &label, tag);
                     }
                 }
             }
             Strategy::GpuTn => {
-                // One persistent kernel for the node's whole schedule.
+                // One persistent kernel for the node's whole schedule. Each
+                // round releases its data triggers, then the credits for
+                // the previous round's folds.
                 let mut builder = ProgramBuilder::new();
                 let mut any = false;
-                for (r, (rp, rtags)) in plan.rounds.iter().zip(&tags).enumerate() {
-                    if !rp.out.is_empty() {
-                        builder = GpuTnDriver::release_triggers(builder, rtags);
+                for (r, rp) in plan.rounds.iter().enumerate() {
+                    let mut tags: Vec<Tag> = rp.out.iter().map(|o| o.tag).collect();
+                    if r > 0 {
+                        tags.extend(credit_tags(r - 1));
+                    }
+                    if !tags.is_empty() {
+                        builder = GpuTnDriver::release_triggers(builder, &tags);
                         any = true;
                     }
                     if !rp.inb.is_empty() {
@@ -624,9 +733,15 @@ pub fn try_run_with_config(
                 }
                 // Just-in-time posting throttled by local completions.
                 let mut posted = 0u64;
-                for (r, (rp, rtags)) in plan.rounds.iter().zip(&tags).enumerate() {
-                    for (o, &tag) in rp.out.iter().zip(rtags) {
-                        driver.register(&mut prog, tag, 1, put_for(r, o, true));
+                for (r, rp) in plan.rounds.iter().enumerate() {
+                    for o in &rp.out {
+                        let (put, threshold) = put_for(r, o, true);
+                        driver.register(&mut prog, o.tag, threshold, put);
+                    }
+                    if r > 0 {
+                        for (tag, credit) in credits(r - 1) {
+                            driver.register(&mut prog, tag, 1, credit);
+                        }
                     }
                     posted += rp.out.len() as u64;
                     if !rp.out.is_empty() {
@@ -647,15 +762,7 @@ pub fn try_run_with_config(
         .seed(params.seed);
     let (cluster, scenario) =
         Harness::try_execute(name, &sparams, config, mem, programs, &mut *driver)?;
-
-    let vectors: Vec<Vec<f32>> = (0..p)
-        .map(|n| {
-            cluster
-                .mem()
-                .read_f32s(bufs[n as usize].vec, params.elems as usize)
-        })
-        .collect();
-    Ok(CollectiveResult { scenario, vectors })
+    Ok((cluster, bufs.iter().map(|b| b.vec).collect(), scenario))
 }
 
 #[cfg(test)]
@@ -766,6 +873,61 @@ mod tests {
                 for (rank, v) in r.vectors.iter().enumerate() {
                     assert_eq!(v, &expect[rank], "{kind:?} {strategy} rank {rank}");
                 }
+            }
+        }
+    }
+
+    /// One rank's plan as `(stage bytes, gated segments, credits, bytes
+    /// its Reduce segments carry)`.
+    fn staging(plan: &NodePlan) -> (u64, usize, usize, u64) {
+        let segs = || plan.rounds.iter().flat_map(|rp| &rp.inb);
+        let reduce_bytes = segs()
+            .filter(|i| i.disp == Disposition::Reduce)
+            .map(|i| i.elems * 4)
+            .sum();
+        let gated = segs().filter(|i| i.gated).count();
+        let credits = segs().filter(|i| i.credit.is_some()).count();
+        (plan.stage_bytes, gated, credits, reduce_bytes)
+    }
+
+    #[test]
+    fn ring_reuses_four_slots_per_pair_and_credits_every_reuse() {
+        // 31 Reduce segments per pair: slots 0..3 take turns, segment k >= 4
+        // waits for the credit its slot's previous occupant (k - 4) sends.
+        let (nodes, elems) = (32u32, 32 * 1024u64);
+        let chunk_bytes = elems / nodes as u64 * 4;
+        for rank in [0, 17, 31] {
+            let plan = plan_node(&nbc::ring_allreduce(rank, nodes), elems);
+            let (stage, gated, credits, _) = staging(&plan);
+            assert_eq!(stage, 4 * chunk_bytes, "rank {rank} stages 4 slots");
+            assert_eq!((gated, credits), (27, 27), "rank {rank}");
+            for (r, rp) in plan.rounds.iter().enumerate() {
+                let rs = r < nodes as usize - 1;
+                for i in &rp.inb {
+                    assert_eq!(i.gated, rs && r >= 4, "rank {rank} round {r}");
+                    let credited = rs && r + 4 < nodes as usize - 1;
+                    assert_eq!(i.credit.map(|c| c.0), credited.then_some(r + 4));
+                    if rs {
+                        assert_eq!(i.stage_off, (r as u64 % 4) * chunk_bytes);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn halving_doubling_and_tree_take_no_credits() {
+        // One Reduce segment per pair: one slot each, the same bytes the
+        // segments themselves carry.
+        for (kind, nodes) in [
+            (Collective::RhdAllreduce, 16u32),
+            (Collective::TreeAllreduce, 5),
+            (Collective::TreeAllreduce, 16),
+        ] {
+            for s in kind.schedules(nodes) {
+                let (stage, gated, credits, reduce_bytes) = staging(&plan_node(&s, 1000));
+                assert_eq!((gated, credits), (0, 0), "{kind:?} rank {}", s.rank);
+                assert_eq!(stage, reduce_bytes, "{kind:?} rank {}", s.rank);
             }
         }
     }
