@@ -96,6 +96,34 @@ fn bench_engine(rows: &mut Vec<Row>) {
             black_box(eng.events_processed());
         }),
     );
+    // The Fig. 8 pingpong cell's shape: a fresh engine per cell, two
+    // pending events, ~116 fired (2.3M events over the 20,000 cells of a
+    // `pingpong_cells` pass in `benchmark/`). Construction and the first
+    // few pushes weigh here as they do in a campaign of small runs.
+    const CELLS: u64 = 1_000;
+    const PER_CELL: u64 = 116;
+    report(
+        rows,
+        "engine/fresh_engine_2_pending_1k_cells",
+        Some(CELLS * PER_CELL),
+        median_ns(|| {
+            let mut fired = 0;
+            for _ in 0..CELLS {
+                let mut eng: Engine<u64> = Engine::new();
+                eng.schedule_at(SimTime::ZERO, 0);
+                eng.schedule_at(SimTime::from_ns(1), 1);
+                let mut next = 2;
+                eng.run(|e, v| {
+                    if next < PER_CELL {
+                        e.schedule_after(SimDuration::from_ns(1 + v % 3), next);
+                        next += 1;
+                    }
+                });
+                fired += eng.events_processed();
+            }
+            assert_eq!(fired, CELLS * PER_CELL);
+        }),
+    );
 }
 
 fn bench_trigger_list(rows: &mut Vec<Row>) {

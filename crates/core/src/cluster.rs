@@ -302,11 +302,6 @@ impl Cluster {
         &self.mem
     }
 
-    /// Mutable access to memory (verification after a run).
-    pub fn mem_mut(&mut self) -> &mut MemPool {
-        &mut self.mem
-    }
-
     /// The configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.config
@@ -856,22 +851,6 @@ impl Cluster {
                 self.engine.schedule_at(at, Event::Nic(node.0, ev));
             }
         }
-    }
-
-    /// Convenience: run and assert completion, returning the makespan.
-    pub fn run_to_completion(&mut self) -> SimTime {
-        let r = self.run();
-        r.expect_completed()
-    }
-
-    /// Engine drain state (for tests poking at partial runs).
-    pub fn pending_events(&self) -> usize {
-        self.engine.pending()
-    }
-
-    /// Run outcome sanity helper used by tests: did the engine drain?
-    pub fn drained(&self) -> bool {
-        self.engine.pending() == 0
     }
 }
 

@@ -25,7 +25,6 @@
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
-use crate::kernel_api::MessagePlan;
 use crate::strategy::Strategy;
 use gtn_gpu::kernel::ProgramBuilder;
 use gtn_host::config::HostConfig;
@@ -352,12 +351,6 @@ impl GpuTnDriver {
         builder
             .fence(MemScope::System, MemOrdering::Release)
             .trigger_store_dyn(move |_| tag, move |_| fields)
-    }
-
-    /// Attach a whole [`MessagePlan`]'s trigger stores (§4.2 messaging
-    /// granularities) to a kernel under construction.
-    pub fn attach_plan(plan: &MessagePlan, builder: ProgramBuilder) -> ProgramBuilder {
-        plan.attach_trigger_ops(builder)
     }
 }
 

@@ -14,7 +14,7 @@ use crate::config::ClusterConfig;
 use crate::membership::{FailureConfig, RecoveryPolicy};
 use crate::timeline::stage_breakdown;
 use crate::{ClusterStats, Strategy};
-use gtn_fabric::{CrashComponent, DegradeSpec};
+use gtn_fabric::{CrashComponent, CrashSpec, DegradeSpec};
 use gtn_sim::time::{SimDuration, SimTime};
 
 /// Declarative cluster-config overrides a scenario carries with it, so
@@ -32,7 +32,7 @@ pub struct ConfigPatch {
     /// A permanent crash-stop injection: which component dies, and when.
     /// Implies the reliability layer (so pending sends toward the corpse
     /// end in structured delivery failures, not silence).
-    pub crash: Option<CrashCell>,
+    pub crash: Option<CrashSpec>,
     /// Arm the heartbeat/lease failure detector with this recovery policy
     /// (see [`crate::membership::FailureConfig::detection`] for the
     /// cadence). `None` leaves detection off: a crash then surfaces only
@@ -57,16 +57,6 @@ pub struct ConfigPatch {
     /// delay, ns. `None` + `detect == Some(RouteAround)` uses
     /// [`gtn_fabric::DEFAULT_REROUTE_DELAY_NS`].
     pub reroute_delay_ns: Option<u64>,
-}
-
-/// One crash-stop injection, `Copy` so it rides [`ConfigPatch`] through
-/// the sweep grids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashCell {
-    /// What dies (node, NIC, or undirected link).
-    pub component: CrashComponent,
-    /// When it dies, ns of sim time.
-    pub at_ns: u64,
 }
 
 /// NIC resource bounds a scenario can shrink to provoke exhaustion.
@@ -189,7 +179,7 @@ impl ConfigPatch {
 
     /// Combine this patch with a crash-stop injection.
     pub fn with_crash(mut self, component: CrashComponent, at_ns: u64) -> Self {
-        self.crash = Some(CrashCell { component, at_ns });
+        self.crash = Some(CrashSpec { component, at_ns });
         self
     }
 
@@ -229,13 +219,10 @@ impl ConfigPatch {
                 config.nic.reliability = gtn_nic::reliability::ReliabilityConfig::on();
             }
         }
-        if let Some(cell) = self.crash {
+        if let Some(spec) = self.crash {
             // Layer the crash onto whatever fault plan is already in place
             // (seeded loss keeps its seed; crash checks draw no randomness).
-            config.fabric.faults.crashes.push(gtn_fabric::CrashSpec {
-                component: cell.component,
-                at_ns: cell.at_ns,
-            });
+            config.fabric.faults.crashes.push(spec);
             config.nic.reliability = gtn_nic::reliability::ReliabilityConfig::on();
         }
         if let Some(spec) = self.degrade {

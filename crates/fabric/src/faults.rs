@@ -235,14 +235,6 @@ impl DegradeSpec {
         phase >= self.flap_period_ns - self.flap_down_ns
     }
 
-    /// The component a failure report should blame, in crash vocabulary.
-    pub fn as_crash_component(&self) -> CrashComponent {
-        match self.component {
-            DegradeComponent::Edge { a, b } => CrashComponent::Edge { a, b },
-            DegradeComponent::Nic(n) => CrashComponent::Nic(n),
-        }
-    }
-
     /// Validate invariants; called from [`FaultConfig::validate`].
     pub fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.loss) {

@@ -117,19 +117,6 @@ impl HostProgram {
         self.push(HostOp::NicPost(cmd))
     }
 
-    /// Append a runtime-built NIC post.
-    pub fn nic_post_dynamic(
-        &mut self,
-        f: impl Fn(&MemPool) -> NicCommand + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.push(HostOp::NicPostDynamic(Arc::new(f)))
-    }
-
-    /// Append a CPU trigger-address write.
-    pub fn trigger_write(&mut self, tag: Tag) -> &mut Self {
-        self.push(HostOp::TriggerWrite(tag))
-    }
-
     /// Append a flag poll.
     pub fn poll(&mut self, addr: Addr, at_least: u64) -> &mut Self {
         self.push(HostOp::Poll { addr, at_least })

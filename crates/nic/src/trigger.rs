@@ -283,11 +283,6 @@ impl TriggerList {
         self.early_allocations
     }
 
-    /// The lookup implementation in use.
-    pub fn lookup_kind(&self) -> LookupKind {
-        self.kind
-    }
-
     /// Cost of one tag match at the current occupancy.
     pub fn match_cost(&self) -> gtn_sim::time::SimDuration {
         self.kind.match_cost(self.active())
@@ -352,11 +347,6 @@ impl TriggerList {
             self.rejected_duplicate,
             self.rejected_zero_threshold,
         )
-    }
-
-    /// Total rejected registrations and writes.
-    pub fn rejected_total(&self) -> u64 {
-        self.rejected_capacity + self.rejected_duplicate + self.rejected_zero_threshold
     }
 
     /// Entries shed by per-partition admission control

@@ -71,7 +71,7 @@ impl<E> Engine<E> {
     /// A fresh engine at t = 0.
     pub fn new() -> Self {
         Engine {
-            queue: EventQueue::with_capacity(1024),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
             stop_requested: false,
@@ -125,18 +125,14 @@ impl<E> Engine<E> {
     }
 
     /// Schedule `payload` to fire `delay` after the current instant.
-    ///
-    /// This is the dominant scheduling pattern (NIC pollers and ARQ timers
-    /// re-arm themselves a short delay ahead), so it takes the calendar's
-    /// near-window fast path.
     pub fn schedule_after(&mut self, delay: SimDuration, payload: E) {
-        self.queue.push_near(self.now + delay, payload);
+        self.queue.push(self.now + delay, payload);
     }
 
     /// Schedule `payload` to fire at the current instant, after every event
     /// already queued for this instant (FIFO).
     pub fn schedule_now(&mut self, payload: E) {
-        self.queue.push_near(self.now, payload);
+        self.queue.push(self.now, payload);
     }
 
     /// Request that the current `run` call return after this handler.
@@ -167,9 +163,9 @@ impl<E> Engine<E> {
     /// `horizon` fires; the first event strictly after it stays queued and
     /// the clock parks at `horizon` so back-to-back calls compose. This is
     /// the single documented semantic shared with the calendar's fused
-    /// [`crate::event::EventQueue::pop_at_most`] hot loop (both of its
-    /// branches) — callers that need an *exclusive* bound pass
-    /// `bound - 1 ps` rather than relying on any off-by-one here.
+    /// [`crate::event::EventQueue::pop_at_most`] hot loop — callers that
+    /// need an *exclusive* bound pass `bound - 1 ps` rather than relying on
+    /// any off-by-one here.
     pub fn run_until(
         &mut self,
         horizon: SimTime,
@@ -178,8 +174,7 @@ impl<E> Engine<E> {
         self.stop_requested = false;
         let budget_start = self.processed;
         loop {
-            // One fused calendar operation per event (peek-then-pop would
-            // normalize the ladder twice).
+            // One fused calendar operation per event, not peek-then-pop.
             let payload = match self.queue.pop_at_most(horizon) {
                 PopAtMost::Empty => return RunOutcome::Drained,
                 PopAtMost::Later(_) => {
@@ -277,10 +272,10 @@ mod tests {
     fn event_exactly_at_lookahead_horizon_fires_in_both_calendar_branches() {
         // Regression for the horizon boundary: an event timestamped
         // exactly at the horizon must fire (inclusive), and one at
-        // horizon + 1 ps must not — through the front-cache branch (single
-        // pending event) and through the tier branch (several pending).
+        // horizon + 1 ps must not — with a single pending event and with
+        // several.
         let horizon = SimTime::from_ns(200);
-        // Front-cache branch.
+        // A single pending event.
         let mut eng: Engine<&str> = Engine::new();
         eng.schedule_at(horizon, "at");
         let mut seen = Vec::new();
@@ -289,7 +284,7 @@ mod tests {
             RunOutcome::Drained
         );
         assert_eq!(seen, vec!["at"]);
-        // Tier branch, with a strictly-later event that must stay queued.
+        // Several, with a strictly-later event that must stay queued.
         let mut eng: Engine<&str> = Engine::new();
         eng.schedule_at(SimTime::from_ns(10), "early");
         eng.schedule_at(horizon, "at");

@@ -15,11 +15,10 @@
 //! 2. **Inspectability.** The [`trace`] module records labelled spans that
 //!    the evaluation harness turns into the paper's Figure-3/Figure-8 style
 //!    latency decompositions.
-//! 3. **Throughput.** The hot path (schedule/pop) is a two-tier calendar —
-//!    a near-future bucket ladder plus a far-future overflow heap (see
-//!    [`event`]) — over small `Copy` keys, with payloads parked in a slab so
-//!    neither sorting nor heap sifts ever move them; event payloads are
-//!    generic so the cluster crate can use a plain `enum` with no boxing.
+//! 3. **Throughput.** The hot path (schedule/pop) is one binary heap of
+//!    small `Copy` keys (see [`event`]), with payloads parked in a slab so
+//!    heap sifts never move them; event payloads are generic so the cluster
+//!    crate can use a plain `enum` with no boxing.
 //!
 //! Time is measured in integer **picoseconds** ([`time::SimTime`]), which
 //! comfortably represents both the 5 ns serialization delay of a 64 B packet

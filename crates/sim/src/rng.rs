@@ -75,13 +75,6 @@ impl SimRng {
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         median * (sigma * z).exp()
     }
-
-    /// Fill a slice with uniform values in `[lo, hi)`.
-    pub fn fill_f32(&mut self, out: &mut [f32], lo: f32, hi: f32) {
-        for v in out {
-            *v = self.range_f32(lo, hi);
-        }
-    }
 }
 
 #[cfg(test)]

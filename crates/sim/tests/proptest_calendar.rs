@@ -1,15 +1,16 @@
-//! Property tests pinning the two-tier calendar (`EventQueue`) to a
-//! reference model: a plain pending set popped in ascending `(time, seq)`
-//! order — exactly what the old `BinaryHeap<Scheduled<E>>` implementation
-//! computed. The bucket ladder, overflow heap, window migration, and
-//! front-cache fast path must all be invisible at this interface.
+//! Property tests pinning the calendar (`EventQueue`) and the `Engine` run
+//! loop to a reference model: a plain pending set popped in ascending
+//! `(time, seq)` order. That order is the simulator's one ordering
+//! contract; every latency decomposition depends on it.
 //!
-//! Time ranges are chosen to straddle the ladder window (~8.4 µs): small
-//! timestamps exercise bucket placement and same-instant ties, large ones
-//! force the overflow tier and the window-jump migration path.
+//! Timestamps mix a near range (many ties within 20 ns) with a far one (up
+//! to 0.5 ms). The boundary generator keeps the timestamps that straddled
+//! the window edges of the bucket ladder the heap replaced, and the top of
+//! the `u64` range.
 
-use gtn_sim::event::{EventQueue, PopAtMost, WINDOW_SPAN_PS};
-use gtn_sim::time::SimTime;
+use gtn_sim::engine::{Engine, RunOutcome};
+use gtn_sim::event::{EventQueue, PopAtMost};
+use gtn_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Reference model: the pending set, popped min-first by `(time, seq)`.
@@ -47,8 +48,8 @@ impl Reference {
     }
 }
 
-/// Mixed near/far timestamp: `far` sends the event past the ladder window
-/// into the overflow heap; `!far` lands it in the buckets with many ties.
+/// Mixed near/far timestamp: `!far` lands within 20 ns with many ties,
+/// `far` anywhere in the first 0.5 ms.
 fn at(raw: u64, far: bool) -> SimTime {
     if far {
         SimTime::from_ps(raw % 500_000_000)
@@ -156,16 +157,15 @@ proptest! {
     }
 }
 
-/// Timestamps clustered on ladder-window boundaries: multiples of the
-/// window span nudged by a few ps either side, plus the top of the u64
-/// range (where the window's nominal end is unrepresentable and the
-/// checked advance arithmetic must stay exact). Regression generator for
-/// the `window_start + WINDOW_SPAN` routing bug class.
+/// Timestamps clustered on multiples of the old ladder window span
+/// (1024 buckets of 8192 ps), nudged by a few ps either side, plus the top
+/// of the u64 range, where `at + span` is unrepresentable.
 fn boundary_at(k: u64, delta: i64, near_max: bool) -> SimTime {
+    const SPAN_PS: u64 = 1024 * 8192;
     let base = if near_max {
-        u64::MAX - (k % 4) * WINDOW_SPAN_PS
+        u64::MAX - (k % 4) * SPAN_PS
     } else {
-        (k % 8) * WINDOW_SPAN_PS
+        (k % 8) * SPAN_PS
     };
     let ps = if delta < 0 {
         base.saturating_sub(delta.unsigned_abs())
@@ -177,10 +177,7 @@ fn boundary_at(k: u64, delta: i64, near_max: bool) -> SimTime {
 
 proptest! {
     /// Interleaved boundary-timestamp pushes and pops match the reference
-    /// pending set exactly: an event at precisely `window_start +
-    /// WINDOW_SPAN` must route to the overflow tier (never wrap into a
-    /// stale ring bucket), and window advances in the last representable
-    /// span must not saturate or reorder.
+    /// pending set exactly, including in the last representable span.
     #[test]
     fn window_boundary_timestamps_match_reference(
         ops in prop::collection::vec(
@@ -206,5 +203,92 @@ proptest! {
             prop_assert_eq!(q.pop(), Some(want));
         }
         prop_assert_eq!(q.pop(), None);
+    }
+}
+
+/// A child's delay: `!far` is a multiple of 1024 ps below 16 ns (so
+/// siblings and cousins tie often), `far` anywhere in the first 0.5 ms.
+fn delay(raw: u64, far: bool) -> SimDuration {
+    if far {
+        SimDuration::from_ps(raw % 500_000_000)
+    } else {
+        SimDuration::from_ps((raw % 16) * 1024)
+    }
+}
+
+/// How a fired event spawns a child, through each `Engine` entry point.
+#[derive(Debug, Clone, Copy)]
+enum Spawn {
+    At(SimDuration),
+    After(SimDuration),
+    Now,
+    Nothing,
+}
+
+fn spawn() -> impl Strategy<Value = Spawn> {
+    (0u8..4, any::<u64>(), any::<bool>()).prop_map(|(kind, raw, far)| match kind {
+        0 => Spawn::At(delay(raw, far)),
+        1 => Spawn::After(delay(raw, far)),
+        2 => Spawn::Now,
+        _ => Spawn::Nothing,
+    })
+}
+
+/// Events one engine run may create, initial schedule included.
+const SPAWN_CAP: usize = 600;
+
+proptest! {
+    /// The engine fires every event in the reference model's order: each
+    /// `(now, payload)` equals the model's next pop, while handlers spawn
+    /// children through `schedule_at`, `schedule_after` and `schedule_now`.
+    /// A misordering that repeats run after run fails here, not only a
+    /// nondeterministic one.
+    #[test]
+    fn engine_fires_in_reference_order(
+        initial in prop::collection::vec((any::<u64>(), any::<bool>()), 1..100),
+        rules in prop::collection::vec(spawn(), 1..12),
+    ) {
+        let mut eng: Engine<usize> = Engine::new();
+        let mut model = Reference::new();
+        for (i, &(raw, far)) in initial.iter().enumerate() {
+            let t = SimTime::ZERO + delay(raw, far);
+            eng.schedule_at(t, i);
+            model.push(t, i);
+        }
+        let mut next = initial.len();
+        let mut fired = Vec::new();
+        let outcome = eng.run(|e, p| {
+            let now = e.now();
+            fired.push(((now, p), model.pop()));
+            // Two rules per event, so the schedule branches until the cap.
+            for rule in [rules[p % rules.len()], rules[(p / rules.len()) % rules.len()]] {
+                if next >= SPAWN_CAP {
+                    break;
+                }
+                let at = match rule {
+                    Spawn::At(d) => {
+                        e.schedule_at(now + d, next);
+                        now + d
+                    }
+                    Spawn::After(d) => {
+                        e.schedule_after(d, next);
+                        now + d
+                    }
+                    Spawn::Now => {
+                        e.schedule_now(next);
+                        now
+                    }
+                    Spawn::Nothing => continue,
+                };
+                model.push(at, next);
+                next += 1;
+            }
+        });
+        prop_assert_eq!(outcome, RunOutcome::Drained);
+        prop_assert_eq!(fired.len(), next);
+        for (got, want) in fired {
+            prop_assert_eq!(Some(got), want);
+        }
+        prop_assert!(model.pop().is_none());
     }
 }
