@@ -1,5 +1,5 @@
 //! The assembled cluster: one deterministic event loop over every node's
-//! CPU, GPU, and NIC, a shared memory pool, and the star fabric.
+//! CPU, GPU, and NIC, a shared memory pool, and the fabric.
 //!
 //! `Cluster` is the only place components meet. It routes each component's
 //! sans-IO outputs to their destinations with the configured interconnect
@@ -19,15 +19,10 @@ use gtn_gpu::{Gpu, GpuEvent, GpuOutput};
 use gtn_host::{Cpu, CpuEvent, CpuOutput, HostOp, HostProgram};
 use gtn_mem::{MemPool, NodeId};
 use gtn_nic::nic::{Nic, NicEvent, NicNote, NicOutput};
-use gtn_nic::{DeliveryCause, Tag};
+use gtn_nic::DeliveryCause;
 use gtn_sim::stats::StatSet;
 use gtn_sim::time::{SimDuration, SimTime};
 use gtn_sim::Engine;
-use std::collections::HashMap;
-
-/// Cost of the GPU front-end ringing the NIC doorbell at a kernel boundary
-/// (the GDS mechanism): a single posted write from the scheduler, no CPU.
-const GDS_DOORBELL_NS: u64 = 20;
 
 /// Wire size of one liveness probe: a header-only control message. Charged
 /// real fabric latency/bandwidth like everything else, but small enough that
@@ -61,8 +56,8 @@ pub enum LogKind {
     },
     /// Host rang the NIC doorbell.
     DoorbellRung,
-    /// A trigger-address write was issued (by GPU, CPU, or the GDS
-    /// front-end hook) carrying this tag.
+    /// A trigger-address write was issued (by a kernel, the CPU, or the
+    /// GPU front-end's GDS doorbell) carrying this tag.
     TriggerWrite(u64),
     /// Initiator NIC finished DMA-reading a put's payload (injection
     /// begins; send buffer reusable).
@@ -170,9 +165,6 @@ pub struct Cluster {
     engine: Engine<Event>,
     log: Vec<LogRecord>,
     finish_times: Vec<Option<SimTime>>,
-    /// GDS hooks: when kernel `label` completes on `node`, ring the NIC
-    /// with `tags` (the front-end doorbell of GPUDirect Async).
-    gds_hooks: HashMap<(u32, String), Vec<Tag>>,
     /// Per-observer failure-detector state: one view per node when
     /// `config.failure` is enabled, none otherwise (the tables grow with
     /// the node count squared).
@@ -271,7 +263,6 @@ impl Cluster {
             engine,
             log: Vec::new(),
             finish_times: vec![None; n],
-            gds_hooks: HashMap::new(),
             dead_detected: None,
             first_suspect: None,
             dead_at: None,
@@ -285,16 +276,6 @@ impl Cluster {
     /// notification channel; see [`gtn_nic::cq`]).
     pub fn attach_cq(&mut self, n: u32, cq: gtn_nic::cq::CqDesc) {
         self.nics[n as usize].attach_cq(cq);
-    }
-
-    /// Register a GDS kernel-boundary doorbell: when `label` completes on
-    /// `node`, the GPU front-end writes `tag` to the NIC trigger address —
-    /// no CPU on the critical path, but strictly after the kernel boundary.
-    pub fn gds_doorbell_on_done(&mut self, node: u32, label: &str, tag: Tag) {
-        self.gds_hooks
-            .entry((node, label.to_owned()))
-            .or_default()
-            .push(tag);
     }
 
     /// The shared memory pool.
@@ -827,16 +808,6 @@ impl Cluster {
                         label: label.clone(),
                     },
                 );
-                // GDS hook: front-end rings the NIC at the kernel boundary.
-                if let Some(tags) = self.gds_hooks.get(&(n, label.clone())) {
-                    let ring = at + SimDuration::from_ns(GDS_DOORBELL_NS);
-                    let delay = self.nics[n as usize].trigger_route_delay();
-                    for &tag in tags.clone().iter() {
-                        self.record(ring, n, LogKind::TriggerWrite(tag.0));
-                        self.engine
-                            .schedule_at(ring + delay, Event::Nic(n, NicEvent::TriggerWrite(tag)));
-                    }
-                }
                 // Host runtime observes completion.
                 self.engine
                     .schedule_at(at, Event::Cpu(n, CpuEvent::KernelDone(label)));
@@ -863,6 +834,7 @@ mod tests {
     use gtn_mem::Addr;
     use gtn_nic::nic::NicCommand;
     use gtn_nic::op::{NetOp, Notify};
+    use gtn_nic::Tag;
 
     /// End-to-end GPU-TN ping: node 0's CPU registers a triggered put and
     /// launches a kernel that fills the buffer and triggers mid-kernel;
@@ -963,16 +935,15 @@ mod tests {
             .compute(gtn_sim::time::SimDuration::from_ns(430))
             .build()
             .unwrap();
-
-        let mut p0 = HostProgram::new();
-        p0.nic_post(NicCommand::TriggeredPut {
-            tag: Tag(9),
+        // One half of the payload per doorbell tag.
+        let half = |tag: u64, off: u64| NicCommand::TriggeredPut {
+            tag: Tag(tag),
             threshold: 1,
             op: NetOp::Put {
-                src,
-                len: 64,
+                src: src.offset_by(off),
+                len: 32,
                 target: NodeId(1),
-                dst,
+                dst: dst.offset_by(off),
                 notify: Some(Notify {
                     flag,
                     add: 1,
@@ -980,34 +951,51 @@ mod tests {
                 }),
                 completion: None,
             },
-        })
-        .launch(KernelLaunch::new(kernel, 1, 64, "gdsk"))
-        .wait_kernel("gdsk");
+        };
+
+        let mut p0 = HostProgram::new();
+        p0.nic_post(half(9, 0))
+            .nic_post(half(8, 32))
+            .launch(KernelLaunch::new(kernel.clone(), 1, 64, "gdsk").ring_on_done([Tag(9), Tag(8)]))
+            .wait_kernel("gdsk")
+            // Same label, no doorbells: this completion rings nothing.
+            .launch(KernelLaunch::new(kernel, 1, 64, "gdsk"));
         let mut p1 = HostProgram::new();
-        p1.poll(flag, 1);
+        p1.poll(flag, 2);
 
         let mut cluster = Cluster::new(config, mem, vec![p0, p1]);
-        cluster.gds_doorbell_on_done(0, "gdsk", Tag(9));
         let result = cluster.run();
         assert!(result.completed);
         assert_eq!(cluster.mem().read(dst, 64), &[7; 64]);
 
+        let log = cluster.log();
+        let done: Vec<SimTime> = log
+            .iter()
+            .filter_map(|r| match &r.kind {
+                LogKind::KernelDone { .. } if r.node == 0 => Some(r.at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(done.len(), 2, "both kernels completed");
+        // The launch's tags ring once, in the order it lists them, one
+        // doorbell cost after the first kernel's boundary.
+        let rings: Vec<(SimTime, u64)> = log
+            .iter()
+            .filter_map(|r| match r.kind {
+                LogKind::TriggerWrite(tag) if r.node == 0 => Some((r.at, tag)),
+                _ => None,
+            })
+            .collect();
+        let ring = done[0] + SimDuration::from_ns(gtn_gpu::gpu::GDS_DOORBELL_NS);
+        assert_eq!(rings, [(ring, 9), (ring, 8)]);
+
         // GDS delivers only after the kernel boundary.
-        let commit = cluster
-            .log()
+        let commit = log
             .iter()
             .find(|r| r.node == 1 && r.kind == LogKind::MessageCommitted)
             .unwrap()
             .at;
-        let kernel_done = cluster
-            .log()
-            .iter()
-            .find_map(|r| match &r.kind {
-                LogKind::KernelDone { .. } if r.node == 0 => Some(r.at),
-                _ => None,
-            })
-            .unwrap();
-        assert!(commit > kernel_done, "GDS is kernel-boundary");
+        assert!(commit > done[0], "GDS is kernel-boundary");
     }
 
     #[test]

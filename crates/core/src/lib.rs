@@ -6,11 +6,8 @@
 //!
 //! - [`config`] — the Table 2 cluster configuration in one place.
 //! - [`cluster`] — the world: per-node CPU + GPU + NIC over a shared
-//!   coherent memory pool and a star fabric, with a single deterministic
-//!   event loop and an experiment-readable activity log.
-//! - [`comm`] — the strategy-driver layer: one [`comm::CommDriver`] per
-//!   §5.1 strategy encapsulating its communication idioms (MPI lane,
-//!   doorbell hooks, triggered-put registration) so workloads share them.
+//!   coherent memory pool and a fabric, with a single deterministic event
+//!   loop and an experiment-readable activity log.
 //! - [`host_api`] — the Fig. 6 host-side API: `rdma_init`, `trig_put`,
 //!   `launch_kern`, mirrored onto host programs.
 //! - [`kernel_api`] — the §4.2 kernel-side messaging granularities
@@ -28,7 +25,7 @@
 //!   partition mapping encoded in tag low bits, and bounded-queue
 //!   admission control with conservation-checked shed counters.
 //! - [`strategy`] — the four evaluated configurations (§5.1): CPU, HDN,
-//!   GDS, GPU-TN, plus the GDS kernel-boundary doorbell mechanism.
+//!   GDS, GPU-TN, and where each one's mechanics live.
 //! - [`timeline`] — turns the cluster log into Fig. 3/Fig. 8 style latency
 //!   decompositions.
 
@@ -36,7 +33,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cluster;
-pub mod comm;
 pub mod config;
 pub mod host_api;
 pub mod kernel_api;

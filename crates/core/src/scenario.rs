@@ -1,6 +1,5 @@
 //! The shared scenario vocabulary: one parameter struct and one result
-//! shape for every evaluation workload, living beside the strategy
-//! drivers ([`crate::comm`]) they parameterize.
+//! shape for every evaluation workload.
 //!
 //! The paper's figures are *controlled comparisons* — the same workload
 //! under the four §5.1 strategies — so the knobs (strategy, node

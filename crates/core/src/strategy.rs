@@ -7,11 +7,19 @@
 //! | [`Strategy::Gds`]   | GPU | GPU front-end doorbell (CPU pre-posts) | kernel boundary |
 //! | [`Strategy::GpuTn`] | GPU | GPU trigger store (CPU pre-registers) | **intra-kernel** |
 //!
-//! The mechanics live elsewhere — HDN is ordinary host programs over
-//! [`gtn_host::mpi`], GDS uses [`crate::Cluster::gds_doorbell_on_done`],
-//! GPU-TN pairs [`crate::kernel_api`] trigger plans with
-//! [`gtn_nic::nic::NicCommand::TriggeredPut`] registrations — this module
-//! just names them and carries shared reporting helpers.
+//! The mechanics live in the hardware vocabulary, and each workload lowers
+//! every strategy onto it directly:
+//!
+//! - CPU and HDN are ordinary host programs over
+//!   [`gtn_host::mpi::MpiWorld`]'s matched send/recv;
+//! - GDS pre-registers [`gtn_nic::nic::NicCommand::TriggeredPut`]s and has
+//!   the GPU front-end ring them after a kernel
+//!   ([`gtn_gpu::KernelLaunch::ring_on_done`]);
+//! - GPU-TN pre-registers the same puts and fires them from inside the
+//!   kernel ([`gtn_gpu::kernel::ProgramBuilder::release_triggers`], or the
+//!   [`crate::kernel_api`] trigger plans).
+//!
+//! This module only names the strategies and their Table 1 properties.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -20,6 +20,10 @@ use gtn_sim::stats::StatSet;
 use gtn_sim::time::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 
+/// Cost of the GPU front-end ringing the NIC doorbell at a kernel boundary
+/// (the GDS mechanism): a single posted write from the scheduler, no CPU.
+pub const GDS_DOORBELL_NS: u64 = 20;
+
 /// Identifier of an enqueued kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelId(pub u64);
@@ -54,7 +58,8 @@ pub enum GpuOutput {
         ev: GpuEvent,
     },
     /// An MMIO store of `tag` left the GPU at `at`, headed for the NIC's
-    /// trigger address.
+    /// trigger address: a kernel's trigger store, or a front-end doorbell
+    /// after a kernel completes ([`KernelLaunch::ring_on_done`]).
     TriggerWrite {
         /// Store-visible time at the GPU boundary.
         at: SimTime,
@@ -422,11 +427,21 @@ impl Gpu {
         self.stats.inc("kernels_completed");
         self.stats
             .record("kernel_total", now.since(run.enqueued_at));
-        vec![GpuOutput::KernelDone {
+        let ring = now + SimDuration::from_ns(GDS_DOORBELL_NS);
+        // Sized up front, so a GDS completion does not reallocate.
+        let mut out = Vec::with_capacity(1 + run.launch.doorbells.len());
+        out.push(GpuOutput::KernelDone {
             kid,
             at: now,
             label: run.launch.label,
-        }]
+        });
+        out.extend(
+            run.launch
+                .doorbells
+                .into_iter()
+                .map(|tag| GpuOutput::TriggerWrite { at: ring, tag }),
+        );
+        out
     }
 }
 

@@ -341,6 +341,18 @@ impl ProgramBuilder {
         self
     }
 
+    /// Append the GPU-TN send fragment: one system-scope release fence,
+    /// then a trigger store per tag — the data is globally visible before
+    /// the NIC is told to move it (§4.2.6). One fence covers the batch
+    /// (e.g. all four halo directions of a Jacobi iteration).
+    pub fn release_triggers(self, tags: &[Tag]) -> Self {
+        let mut b = self.fence(MemScope::System, MemOrdering::Release);
+        for &tag in tags {
+            b = b.trigger_store(move |_| tag);
+        }
+        b
+    }
+
     /// Validate and build.
     pub fn build(self) -> Result<KernelProgram, ScopeViolation> {
         KernelProgram::new(self.ops)
@@ -358,6 +370,10 @@ pub struct KernelLaunch {
     pub items_per_wg: u32,
     /// Label for traces and completion matching.
     pub label: String,
+    /// Trigger tags the GPU front-end writes to the NIC, in order, once
+    /// this kernel completes (the GDS doorbell; see
+    /// [`KernelLaunch::ring_on_done`]).
+    pub(crate) doorbells: Vec<Tag>,
 }
 
 impl KernelLaunch {
@@ -373,7 +389,17 @@ impl KernelLaunch {
             n_wgs,
             items_per_wg,
             label: label.to_owned(),
+            doorbells: Vec::new(),
         }
+    }
+
+    /// Have the front-end ring the NIC with `tags`, in order,
+    /// [`GDS_DOORBELL_NS`](crate::gpu::GDS_DOORBELL_NS) after this kernel
+    /// completes: the GPUDirect Async doorbell. No CPU sits on the path,
+    /// but the puts it fires wait for the kernel boundary.
+    pub fn ring_on_done(mut self, tags: impl IntoIterator<Item = Tag>) -> Self {
+        self.doorbells.extend(tags);
+        self
     }
 
     /// The empty kernel of the Fig. 1 study.
@@ -466,6 +492,26 @@ mod tests {
             .trigger_store_each(64, |ctx, item| Tag((ctx.wg * 64 + item) as u64))
             .build();
         assert!(p.is_ok());
+    }
+
+    #[test]
+    fn release_triggers_is_one_fence_then_a_store_per_tag() {
+        let k = ProgramBuilder::new()
+            .func(|_, _| {})
+            .release_triggers(&[Tag(1), Tag(2), Tag(3)])
+            .build()
+            .expect("valid kernel");
+        let ops: Vec<String> = k.ops().iter().map(|op| format!("{op:?}")).collect();
+        assert_eq!(
+            ops,
+            [
+                "Func(..)",
+                "Fence(System, Release)",
+                "TriggerStore(System, Relaxed)",
+                "TriggerStore(System, Relaxed)",
+                "TriggerStore(System, Relaxed)",
+            ]
+        );
     }
 
     #[test]

@@ -21,13 +21,13 @@
 //!   slot `k % slots`. `Replace` segments land directly in the destination
 //!   vector.
 //!
-//! Strategy lowerings: CPU/HDN speak matched send/recv over the eager MPI
-//! lane (HDN folds in per-round kernels), GDS pre-registers each round's
-//! puts to fire at the previous round's kernel-boundary doorbell, and
-//! GPU-TN runs the whole schedule inside one persistent kernel that
-//! releases triggers, polls the round flags, and reduces in place. The ring
-//! Allreduce of Fig. 10 ([`crate::allreduce`]) is this lowering of
-//! [`Collective::RingAllreduce`].
+//! Strategy lowerings: CPU/HDN speak matched send/recv over [`MpiWorld`]'s
+//! eager channels (HDN folds in per-round kernels), GDS pre-registers each
+//! round's puts to fire at the previous round's kernel-boundary doorbell
+//! ([`KernelLaunch::ring_on_done`]), and GPU-TN runs the whole schedule
+//! inside one persistent kernel that releases triggers, polls the round
+//! flags, and reduces in place. The ring Allreduce of Fig. 10
+//! ([`crate::allreduce`]) is this lowering of [`Collective::RingAllreduce`].
 //!
 //! A reused slot is safe on CPU/HDN because `recv` is program-ordered after
 //! the previous occupant's fold. A one-sided put lands whenever the sender
@@ -47,17 +47,18 @@
 use crate::allreduce::{cpu_reduce_time, gpu_reduce_time, input_value};
 use crate::harness::{Harness, JobFailure, ScenarioParams, ScenarioResult};
 use gtn_core::cluster::Cluster;
-use gtn_core::comm::{self, GpuTnDriver};
 use gtn_core::config::ClusterConfig;
 use gtn_core::Strategy;
 use gtn_gpu::kernel::ProgramBuilder;
 use gtn_gpu::KernelLaunch;
 use gtn_host::compute::CpuCompute;
+use gtn_host::mpi::MpiWorld;
 use gtn_host::nbc::{self, chunk_range, NbcOp, Schedule};
 use gtn_host::HostProgram;
 use gtn_mem::scope::{MemOrdering, MemScope};
 use gtn_mem::{Addr, MemPool, NodeId};
 use gtn_nic::lookup::LookupKind;
+use gtn_nic::nic::NicCommand;
 use gtn_nic::op::{NetOp, Notify};
 use gtn_nic::Tag;
 use gtn_sim::time::SimDuration;
@@ -516,8 +517,8 @@ pub(crate) fn execute(
     }
     let eager_limit = max_seg.min(EAGER_CAP).max(max_exchange_seg);
 
-    let mut driver = comm::driver(params.strategy);
-    driver.setup(&config, &mut mem, eager_limit, &messages);
+    let mut world = matches!(params.strategy, Strategy::Cpu | Strategy::Hdn)
+        .then(|| MpiWorld::new(&mut mem, eager_limit, &messages));
     let cpu_model = CpuCompute::new(config.host.clone());
 
     let mut programs = Vec::with_capacity(p as usize);
@@ -555,11 +556,21 @@ pub(crate) fn execute(
             };
             (put, if mirror.gated { 2 } else { 1 })
         };
+        // The same put pre-registered under its segment's tag.
+        let register = |r: usize, o: &OutSeg, completion: bool| {
+            let (op, threshold) = put_for(r, o, completion);
+            NicCommand::TriggeredPut {
+                tag: o.tag,
+                threshold,
+                op,
+            }
+        };
 
-        // The credits this node owes once round `r` is folded, as (own
-        // trigger tag, 0-byte put to the sender). The put bumps the
-        // sender's credit counter and chains the tag of the gated put.
-        let credits = |r: usize| -> Vec<(Tag, NetOp)> {
+        // The credits this node owes once round `r` is folded: 0-byte puts
+        // to the sender, registered under this node's own trigger tag. The
+        // put bumps the sender's credit counter and chains the tag of the
+        // gated put.
+        let credits = |r: usize| -> Vec<NicCommand> {
             plan.rounds[r]
                 .inb
                 .iter()
@@ -571,15 +582,18 @@ pub(crate) fn execute(
                         .iter()
                         .find(|o| o.peer == node)
                         .expect("sender's schedule mirrors this recv");
-                    let credit = NetOp::Put {
-                        src: b.credit,
-                        len: 0,
-                        target: NodeId(i.peer),
-                        dst: sender.credit,
-                        notify: Some(Notify::count_then_trigger(sender.credit, gated_put.tag)),
-                        completion: None,
-                    };
-                    Some((tag, credit))
+                    Some(NicCommand::TriggeredPut {
+                        tag,
+                        threshold: 1,
+                        op: NetOp::Put {
+                            src: b.credit,
+                            len: 0,
+                            target: NodeId(i.peer),
+                            dst: sender.credit,
+                            notify: Some(Notify::count_then_trigger(sender.credit, gated_put.tag)),
+                            completion: None,
+                        },
+                    })
                 })
                 .collect()
         };
@@ -616,23 +630,29 @@ pub(crate) fn execute(
         let mut prog = HostProgram::new();
         match params.strategy {
             Strategy::Cpu | Strategy::Hdn => {
+                let world = world.as_mut().expect("two-sided strategies build a world");
                 for r in 0..rcount {
                     let rp = &plan.rounds[r];
                     for o in &rp.out {
-                        driver.send(
-                            &mut prog,
+                        prog.extend(world.send_ops(
                             NodeId(node),
                             NodeId(o.peer),
                             b.vec.offset_by(o.elem_off * 4),
                             o.elems * 4,
-                        );
+                        ));
                     }
                     for i in &rp.inb {
                         let dst = match i.disp {
                             Disposition::Reduce => b.stage.offset_by(i.stage_off),
                             Disposition::Replace => b.vec.offset_by(i.elem_off * 4),
                         };
-                        driver.recv(&mut prog, NodeId(i.peer), NodeId(node), dst, i.elems * 4);
+                        prog.extend(world.recv_ops(
+                            &config.host,
+                            NodeId(i.peer),
+                            NodeId(node),
+                            dst,
+                            i.elems * 4,
+                        ));
                     }
                     if params.strategy == Strategy::Cpu {
                         if rp.reduce_elems > 0 {
@@ -665,16 +685,15 @@ pub(crate) fn execute(
                 // and fire at the previous round's kernel boundary; each
                 // round's credits fire at its fold kernel's boundary.
                 for o in &plan.rounds[0].out {
-                    driver.post(&mut prog, put_for(0, o, false).0);
+                    prog.nic_post(NicCommand::Put(put_for(0, o, false).0));
                 }
                 for r in 0..rcount {
                     let next = plan.rounds.get(r + 1).map_or(&[][..], |rp| &rp.out[..]);
                     for o in next {
-                        let (put, threshold) = put_for(r + 1, o, false);
-                        driver.register(&mut prog, o.tag, threshold, put);
+                        prog.nic_post(register(r + 1, o, false));
                     }
-                    for (tag, credit) in credits(r) {
-                        driver.register(&mut prog, tag, 1, credit);
+                    for credit in credits(r) {
+                        prog.nic_post(credit);
                     }
                     let rp = &plan.rounds[r];
                     if !rp.inb.is_empty() {
@@ -693,11 +712,9 @@ pub(crate) fn execute(
                         ProgramBuilder::new().compute(SimDuration::from_ns(100))
                     };
                     let kernel = builder.build().expect("valid kernel");
-                    prog.launch(KernelLaunch::new(kernel, 1, 64, &label));
+                    let rings = next.iter().map(|o| o.tag).chain(credit_tags(r));
+                    prog.launch(KernelLaunch::new(kernel, 1, 64, &label).ring_on_done(rings));
                     prog.wait_kernel(&label);
-                    for tag in next.iter().map(|o| o.tag).chain(credit_tags(r)) {
-                        driver.on_kernel_done(node, &label, tag);
-                    }
                 }
             }
             Strategy::GpuTn => {
@@ -712,7 +729,7 @@ pub(crate) fn execute(
                         tags.extend(credit_tags(r - 1));
                     }
                     if !tags.is_empty() {
-                        builder = GpuTnDriver::release_triggers(builder, &tags);
+                        builder = builder.release_triggers(&tags);
                         any = true;
                     }
                     if !rp.inb.is_empty() {
@@ -735,12 +752,11 @@ pub(crate) fn execute(
                 let mut posted = 0u64;
                 for (r, rp) in plan.rounds.iter().enumerate() {
                     for o in &rp.out {
-                        let (put, threshold) = put_for(r, o, true);
-                        driver.register(&mut prog, o.tag, threshold, put);
+                        prog.nic_post(register(r, o, true));
                     }
                     if r > 0 {
-                        for (tag, credit) in credits(r - 1) {
-                            driver.register(&mut prog, tag, 1, credit);
+                        for credit in credits(r - 1) {
+                            prog.nic_post(credit);
                         }
                     }
                     posted += rp.out.len() as u64;
@@ -760,8 +776,7 @@ pub(crate) fn execute(
         .nodes(p)
         .size(params.elems)
         .seed(params.seed);
-    let (cluster, scenario) =
-        Harness::try_execute(name, &sparams, config, mem, programs, &mut *driver)?;
+    let (cluster, scenario) = Harness::try_execute(name, &sparams, config, mem, programs)?;
     Ok((cluster, bufs.iter().map(|b| b.vec).collect(), scenario))
 }
 

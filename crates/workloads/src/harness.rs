@@ -2,19 +2,17 @@
 //! execution path for every evaluation workload.
 //!
 //! The vocabulary types — [`ScenarioParams`], [`ScenarioResult`], and
-//! [`ConfigPatch`] — live beside the strategy drivers in
-//! [`gtn_core::scenario`] and are re-exported here. This module adds what
-//! is workload-shaped:
+//! [`ConfigPatch`] — live in [`gtn_core::scenario`] and are re-exported
+//! here. This module adds what is workload-shaped:
 //!
 //! - [`Workload`] — the trait the four workloads implement, which is what
 //!   lets one generic invariant test suite (and one strategy-subset bench
 //!   filter) drive all of them.
-//! - [`Harness`] — cluster execution (build → install driver hooks → run
-//!   → assert completion → collect) plus the `GTN_STRATEGIES` env filter
-//!   benches use to run a strategy subset.
+//! - [`Harness`] — cluster execution (build → run → assert completion →
+//!   collect) plus the `GTN_STRATEGIES` env filter benches use to run a
+//!   strategy subset.
 
 use gtn_core::cluster::Cluster;
-use gtn_core::comm::CommDriver;
 use gtn_core::config::ClusterConfig;
 use gtn_core::{StallReport, Strategy};
 use gtn_host::HostProgram;
@@ -144,8 +142,7 @@ impl Harness {
             .collect())
     }
 
-    /// Build the cluster, install the driver's cluster-side registrations
-    /// (GDS doorbell hooks), run to completion, and snapshot the unified
+    /// Build the cluster, run it to completion, and snapshot the unified
     /// result. Panics with the rendered [`StallReport`] if the run does
     /// not complete — the failure message reads like a diagnosis, not a
     /// debug dump.
@@ -155,9 +152,8 @@ impl Harness {
         config: ClusterConfig,
         mem: MemPool,
         programs: Vec<HostProgram>,
-        driver: &mut dyn CommDriver,
     ) -> (Cluster, ScenarioResult) {
-        match Self::try_execute(workload, params, config, mem, programs, driver) {
+        match Self::try_execute(workload, params, config, mem, programs) {
             Ok(done) => done,
             Err(failure) => panic!(
                 "{workload} {} P={} did not complete\n{failure}",
@@ -176,10 +172,8 @@ impl Harness {
         config: ClusterConfig,
         mem: MemPool,
         programs: Vec<HostProgram>,
-        driver: &mut dyn CommDriver,
     ) -> Result<(Cluster, ScenarioResult), JobFailure> {
         let mut cluster = Cluster::new(config, mem, programs);
-        driver.install(&mut cluster);
         let result = cluster.run();
         if !result.completed {
             let report = result

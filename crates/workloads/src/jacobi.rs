@@ -25,17 +25,18 @@
 //! sweep of the assembled `(R·N)×(C·N)` global grid.
 
 use crate::harness::{Harness, JobFailure, ScenarioParams, ScenarioResult, Workload};
-use gtn_core::comm::{self, CommDriver, GpuTnDriver};
 use gtn_core::config::ClusterConfig;
 use gtn_core::Strategy;
 use gtn_gpu::kernel::ProgramBuilder;
 use gtn_gpu::{KernelLaunch, WgCtx};
 use gtn_host::compute::CpuCompute;
+use gtn_host::mpi::MpiWorld;
 use gtn_host::HostProgram;
 use gtn_mem::latency::MemHierarchy;
 use gtn_mem::scope::{MemOrdering, MemScope};
 use gtn_mem::{Addr, MemPool, NodeId};
 use gtn_nic::lookup::LookupKind;
+use gtn_nic::nic::NicCommand;
 use gtn_nic::op::{NetOp, Notify};
 use gtn_nic::Tag;
 use gtn_sim::rng::SimRng;
@@ -374,22 +375,22 @@ fn run_inner(
         }
     }
 
-    // Two-sided drivers build their MPI lane here from the halo traffic
-    // (one edge to every neighbour per iteration); one-sided drivers need
-    // no setup.
-    let mut messages = Vec::new();
-    for node in 0..nodes {
-        for (_, peer) in neighbors(
-            node / params.cols,
-            node % params.cols,
-            params.rows,
-            params.cols,
-        ) {
-            messages.extend((0..params.iters).map(|_| (node, peer, n * 4)));
+    // CPU/HDN exchange halos over MPI: one channel per neighbour pair,
+    // with eager buffers for one edge per iteration.
+    let mut world = matches!(params.strategy, Strategy::Cpu | Strategy::Hdn).then(|| {
+        let mut messages = Vec::new();
+        for node in 0..nodes {
+            for (_, peer) in neighbors(
+                node / params.cols,
+                node % params.cols,
+                params.rows,
+                params.cols,
+            ) {
+                messages.extend((0..params.iters).map(|_| (node, peer, n * 4)));
+            }
         }
-    }
-    let mut driver = comm::driver(params.strategy);
-    driver.setup(&config, &mut mem, n * 4, &messages);
+        MpiWorld::new(&mut mem, n * 4, &messages)
+    });
     let cpu_model = CpuCompute::new(config.host.clone());
 
     let mut programs: Vec<HostProgram> = Vec::with_capacity(nodes as usize);
@@ -424,37 +425,39 @@ fn run_inner(
         // Register every neighbour's put for exchange `iter` (arrival
         // iter + 1 at the peer → parity slot (iter + 1) % 2), optionally
         // with a local completion for just-in-time throttling.
-        let register_exchange =
-            |p: &mut HostProgram, driver: &mut dyn CommDriver, iter: u32, comp: Option<Addr>| {
-                for &(dir, peer) in &nbrs {
-                    let slot = ((iter + 1) % 2) as usize;
-                    let put = put_for(&b, &bufs[peer as usize], dir, peer, slot, n, comp);
-                    driver.register(p, tag_of(iter, dir), 1, put);
-                }
-            };
+        let register_exchange = |p: &mut HostProgram, iter: u32, comp: Option<Addr>| {
+            for &(dir, peer) in &nbrs {
+                let slot = ((iter + 1) % 2) as usize;
+                p.nic_post(NicCommand::TriggeredPut {
+                    tag: tag_of(iter, dir),
+                    threshold: 1,
+                    op: put_for(&b, &bufs[peer as usize], dir, peer, slot, n, comp),
+                });
+            }
+        };
 
         let mut p = HostProgram::new();
         match params.strategy {
             Strategy::Cpu | Strategy::Hdn => {
+                let world = world.as_mut().expect("two-sided strategies build a world");
                 for iter in 0..params.iters {
                     host_edges(&mut p, None);
                     for &(dir, peer) in &nbrs {
-                        driver.send(
-                            &mut p,
+                        p.extend(world.send_ops(
                             NodeId(node),
                             NodeId(peer),
                             b.send[dir as usize],
                             n * 4,
-                        );
+                        ));
                     }
                     for &(dir, peer) in &nbrs {
-                        driver.recv(
-                            &mut p,
+                        p.extend(world.recv_ops(
+                            &config.host,
                             NodeId(peer),
                             NodeId(node),
                             b.stage[dir as usize][0],
                             n * 4,
-                        );
+                        ));
                     }
                     host_edges(&mut p, Some(0));
                     if params.strategy == Strategy::Cpu {
@@ -480,17 +483,15 @@ fn run_inner(
                 host_edges(&mut p, None);
                 for &(dir, peer) in &nbrs {
                     // The initial exchange is arrival 1 -> slot 1.
-                    driver.post(
-                        &mut p,
-                        put_for(&b, &bufs[peer as usize], dir, peer, 1, n, None),
-                    );
+                    let put = put_for(&b, &bufs[peer as usize], dir, peer, 1, n, None);
+                    p.nic_post(NicCommand::Put(put));
                 }
                 for iter in 1..=params.iters {
                     let last = iter == params.iters;
                     if !last {
                         // Arrival a lands in stage slot a % 2; the put the
                         // k{iter} doorbell fires is arrival iter + 1.
-                        register_exchange(&mut p, &mut *driver, iter, None);
+                        register_exchange(&mut p, iter, None);
                     }
                     for &(dir, _) in &nbrs {
                         p.poll(b.flag[dir as usize], iter as u64);
@@ -509,18 +510,15 @@ fn run_inner(
                             .func(edges_fragment(None))
                             .fence(MemScope::System, MemOrdering::Release);
                     }
-                    p.launch(KernelLaunch::new(
-                        builder.build().expect("valid"),
-                        1,
-                        64,
-                        &label,
-                    ));
-                    p.wait_kernel(&label);
+                    let mut kernel =
+                        KernelLaunch::new(builder.build().expect("valid"), 1, 64, &label);
                     if !last {
-                        for &(dir, _) in &nbrs {
-                            driver.on_kernel_done(node, &label, tag_of(iter, dir));
-                        }
+                        // The boundary doorbell fires exchange `iter`.
+                        kernel =
+                            kernel.ring_on_done(nbrs.iter().map(|&(dir, _)| tag_of(iter, dir)));
                     }
+                    p.launch(kernel);
+                    p.wait_kernel(&label);
                 }
             }
             Strategy::GpuTn => {
@@ -531,7 +529,7 @@ fn run_inner(
                         .compute(edge_time(n, deg))
                         .func(edges_fragment(None));
                     let tags: Vec<Tag> = nbrs.iter().map(|&(dir, _)| tag_of(iter, dir)).collect();
-                    builder = GpuTnDriver::release_triggers(builder, &tags);
+                    builder = builder.release_triggers(&tags);
                     for &(dir, _) in &nbrs {
                         let flag = b.flag[dir as usize];
                         builder = builder.poll(move |_| flag, it64 + 1);
@@ -549,7 +547,7 @@ fn run_inner(
                 p.launch(KernelLaunch::new(kernel, 1, 64, "persistent"));
                 // Just-in-time posting, throttled by local completions.
                 for iter in 0..params.iters {
-                    register_exchange(&mut p, &mut *driver, iter, Some(b.comp));
+                    register_exchange(&mut p, iter, Some(b.comp));
                     p.poll(b.comp, deg * (iter as u64 + 1));
                 }
                 p.wait_kernel("persistent");
@@ -563,8 +561,7 @@ fn run_inner(
         .size(params.n_local as u64)
         .iters(params.iters)
         .seed(params.seed);
-    let (cluster, scenario) =
-        Harness::try_execute("jacobi", &sparams, config, mem, programs, &mut *driver)?;
+    let (cluster, scenario) = Harness::try_execute("jacobi", &sparams, config, mem, programs)?;
 
     let interiors = (0..nodes)
         .map(|nd| {

@@ -36,8 +36,10 @@
 //! The [`harness`] module is the shared frame: unified scenario
 //! parameters/results, the [`harness::Workload`] trait each experiment
 //! implements, and the `GTN_STRATEGIES` strategy filter the benches use.
-//! Per-strategy communication idioms live one layer down, in
-//! [`gtn_core::comm`].
+//! Each experiment lowers every strategy itself, straight onto the hardware
+//! vocabulary: [`gtn_host::mpi::MpiWorld`] send/recv for CPU and HDN, NIC
+//! posts and [`gtn_nic::nic::NicCommand::TriggeredPut`] registrations,
+//! kernel-launch doorbells for GDS and in-kernel trigger stores for GPU-TN.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

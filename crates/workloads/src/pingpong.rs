@@ -9,15 +9,13 @@
 //! improvements and the qualitative phenomenon that under GPU-TN the target
 //! receives the data *before* the initiator's kernel completes.
 //!
-//! Every flavor runs through one body ([`run_flavor`]): the strategies
-//! differ only in the kernel they build and the
-//! [`CommDriver`](gtn_core::comm::CommDriver) idioms they
-//! invoke, so the per-strategy duplication lives in `gtn_core::comm`, not
-//! here.
+//! Every flavor runs through one body ([`run_flavor`]): the flavors differ
+//! only in the kernel they build and in who rings the NIC — the CPU posting
+//! the put, the GPU front-end's doorbell after the kernel, or a trigger
+//! store inside it.
 
 use crate::harness::{ConfigPatch, Harness, JobFailure, ScenarioParams, ScenarioResult, Workload};
 use gtn_core::cluster::LogKind;
-use gtn_core::comm::{self, GpuTnDriver};
 use gtn_core::config::ClusterConfig;
 use gtn_core::timeline::decompose_pingpong;
 use gtn_core::Strategy;
@@ -26,6 +24,7 @@ use gtn_gpu::KernelLaunch;
 use gtn_host::HostProgram;
 use gtn_mem::scope::{MemOrdering, MemScope};
 use gtn_mem::{Addr, MemPool, NodeId};
+use gtn_nic::nic::NicCommand;
 use gtn_nic::op::{NetOp, Notify};
 use gtn_nic::Tag;
 use gtn_sim::time::{SimDuration, SimTime};
@@ -145,8 +144,8 @@ const GPU_NATIVE_STACK_NS: u64 = 1_200;
 const BOUNCE_COPY_NS: u64 = 60;
 
 /// Run a Table 1 flavor of the microbenchmark: one body for the whole
-/// taxonomy — flavors differ only in the kernel they build and the driver
-/// idiom that launches the put.
+/// taxonomy — flavors differ only in the kernel they build and in who
+/// launches the put.
 pub fn run_flavor(flavor: Flavor) -> PingResult {
     try_run_flavor(flavor, ConfigPatch::NONE)
         .unwrap_or_else(|failure| panic!("pingpong {} did not complete\n{failure}", flavor.name()))
@@ -194,7 +193,13 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
         })
     };
 
-    let mut driver = comm::driver(strategy);
+    // For the flavors where the GPU side fires the put: the CPU
+    // pre-registers it under tag 1.
+    let register = |op| NicCommand::TriggeredPut {
+        tag: Tag(1),
+        threshold: 1,
+        op,
+    };
     let mut p0 = HostProgram::new();
     let mut p1 = HostProgram::new();
     p1.poll(flag, 1);
@@ -206,8 +211,8 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
                 .func(move |mem| {
                     let bytes = mem.read(input, PAYLOAD).to_vec();
                     mem.write(src, &bytes);
-                });
-            driver.post(&mut p0, put);
+                })
+                .nic_post(NicCommand::Put(put));
         }
         Flavor::Std(Strategy::Hdn) => {
             // Launch, wait the kernel boundary, then the CPU sends (full
@@ -216,8 +221,8 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
                 .build()
                 .expect("valid");
             p0.launch(KernelLaunch::new(kernel, 1, 64, "pp"))
-                .wait_kernel("pp");
-            driver.post(&mut p0, put);
+                .wait_kernel("pp")
+                .nic_post(NicCommand::Put(put));
         }
         Flavor::Std(Strategy::Gds) => {
             // CPU pre-posts; the GPU front-end rings the doorbell at the
@@ -225,22 +230,19 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
             let kernel = copy_body(ProgramBuilder::new(), COPY_KERNEL_NS)
                 .build()
                 .expect("valid");
-            driver.register(&mut p0, Tag(1), 1, put);
-            p0.launch(KernelLaunch::new(kernel, 1, 64, "pp"))
+            p0.nic_post(register(put))
+                .launch(KernelLaunch::new(kernel, 1, 64, "pp").ring_on_done([Tag(1)]))
                 .wait_kernel("pp");
-            driver.on_kernel_done(0, "pp", Tag(1));
         }
         Flavor::Std(Strategy::GpuTn) => {
             // CPU pre-registers; the kernel triggers mid-execution after a
             // system-scope release (Fig. 7 / §4.2.6).
-            let kernel = GpuTnDriver::release_trigger(
-                copy_body(ProgramBuilder::new(), COPY_KERNEL_NS),
-                Tag(1),
-            )
-            .build()
-            .expect("valid");
-            driver.register(&mut p0, Tag(1), 1, put);
-            p0.launch(KernelLaunch::new(kernel, 1, 64, "pp"))
+            let kernel = copy_body(ProgramBuilder::new(), COPY_KERNEL_NS)
+                .release_triggers(&[Tag(1)])
+                .build()
+                .expect("valid");
+            p0.nic_post(register(put))
+                .launch(KernelLaunch::new(kernel, 1, 64, "pp"))
                 .wait_kernel("pp");
         }
         Flavor::GpuHost => {
@@ -254,9 +256,9 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
                 .build()
                 .expect("valid");
             p0.launch(KernelLaunch::new(kernel, 1, 64, "pp"))
-                .poll(request, 1);
-            driver.post(&mut p0, put);
-            p0.wait_kernel("pp");
+                .poll(request, 1)
+                .nic_post(NicCommand::Put(put))
+                .wait_kernel("pp");
         }
         Flavor::GpuNative => {
             // The kernel builds the command packet itself (serial GPU-side
@@ -269,14 +271,14 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
                 .trigger_store(|_| Tag(1))
                 .build()
                 .expect("valid");
-            driver.register(&mut p0, Tag(1), 1, put);
-            p0.launch(KernelLaunch::new(kernel, 1, 64, "pp"))
+            p0.nic_post(register(put))
+                .launch(KernelLaunch::new(kernel, 1, 64, "pp"))
                 .wait_kernel("pp");
         }
     }
 
     let (cluster, mut scenario) =
-        Harness::try_execute("pingpong", &params, config, mem, vec![p0, p1], &mut *driver)?;
+        Harness::try_execute("pingpong", &params, config, mem, vec![p0, p1])?;
     assert_eq!(
         cluster.mem().read(dst, PAYLOAD),
         &[0xC5; PAYLOAD as usize],
@@ -473,6 +475,9 @@ mod tests {
         assert!(native < gds, "intra-kernel beats kernel boundary");
         assert!(host < gds, "intra-kernel beats kernel boundary");
         assert!(gds < hdn);
+        // No golden covers these two rows: pin them exactly.
+        assert_eq!(host.as_ps(), 3_205_982, "GPU-Host {host}");
+        assert_eq!(native.as_ps(), 4_159_982, "GPU-Native {native}");
     }
 
     #[test]
