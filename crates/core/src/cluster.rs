@@ -73,12 +73,6 @@ pub enum LogKind {
         /// ARQ sequence number.
         seq: u64,
     },
-    /// An attempt of tracked message `seq` was corrupted in flight and
-    /// discarded by the receiver.
-    MessageCorrupted {
-        /// ARQ sequence number.
-        seq: u64,
-    },
     /// A retry timer expired and attempt `attempt` of `seq` was sent.
     Retransmitted {
         /// ARQ sequence number.
@@ -643,7 +637,7 @@ impl Cluster {
 
     /// One node's probe broadcast + lease sweep + re-arm. Probes travel on
     /// the control lane: straight from host agent to fabric, charged real
-    /// latency and judged by the fault plan (loss, outages, crashes), but
+    /// latency and judged by the fault plan (loss, crashes, degrades), but
     /// bypassing the NIC's CQ/CAM/flow-control — resource pressure can
     /// never starve detection, which is what keeps the detector sound
     /// under pure loss/pressure.
@@ -732,7 +726,6 @@ impl Cluster {
         for (at, note) in notes {
             let kind = match note {
                 NicNote::MessageDropped { seq, .. } => LogKind::MessageDropped { seq },
-                NicNote::MessageCorrupted { seq, .. } => LogKind::MessageCorrupted { seq },
                 NicNote::Retransmitted { seq, attempt, .. } => {
                     LogKind::Retransmitted { seq, attempt }
                 }

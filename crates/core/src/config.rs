@@ -65,6 +65,16 @@ impl ClusterConfig {
         self.gpu.validate()?;
         self.nic.validate()?;
         self.fabric.validate()?;
+        // Without ARQ the NIC never consults the fault plan, so a plan that
+        // can drop would run silently lossless. Crash-stop alone is fine:
+        // the cluster suppresses a dead component's traffic itself.
+        if self.fabric.faults.can_drop() && !self.nic.reliability.enabled {
+            return Err(
+                "fabric.faults can drop messages (seeded loss, or a lossy or flapping \
+                 degrade) but nic.reliability is disabled; enable the ARQ layer"
+                    .into(),
+            );
+        }
         if self.stall_timeout_ns == 0 {
             return Err("stall_timeout_ns must be nonzero (watchdog would fire instantly)".into());
         }
@@ -144,6 +154,30 @@ mod tests {
         ] {
             assert!(s.contains(needle), "missing {needle}:\n{s}");
         }
+    }
+
+    #[test]
+    fn droppable_faults_need_the_arq_layer() {
+        use gtn_fabric::{DegradeSpec, FaultConfig};
+        use gtn_nic::ReliabilityConfig;
+        let with = |faults: FaultConfig, reliability: ReliabilityConfig| {
+            let mut c = ClusterConfig::table2(2);
+            c.fabric.faults = faults;
+            c.nic.reliability = reliability;
+            c.validate()
+        };
+        let off = ReliabilityConfig::default();
+        let err = with(FaultConfig::loss(1, 0.01), off.clone()).unwrap_err();
+        assert!(
+            err.contains("fabric.faults") && err.contains("nic.reliability"),
+            "{err}"
+        );
+        assert!(with(FaultConfig::loss(1, 0.01), ReliabilityConfig::on()).is_ok());
+        let slow = DegradeSpec::edge(0, 2).latency(500).jitter(100);
+        assert!(with(FaultConfig::degrade(1, slow), off.clone()).is_ok());
+        let flap = DegradeSpec::edge(0, 2).flapping(1_000, 200);
+        assert!(with(FaultConfig::degrade(1, flap), off.clone()).is_err());
+        assert!(with(FaultConfig::crash(1, 5_000), off).is_ok());
     }
 
     #[test]

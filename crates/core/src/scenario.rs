@@ -231,7 +231,7 @@ impl ConfigPatch {
             // the ARQ layer — a latency-only straggler must not change the
             // wire protocol of the run it rides along with.
             config.fabric.faults.degrades.push(spec);
-            if spec.loss > 0.0 || spec.flap_period_ns > 0 {
+            if spec.can_drop() {
                 config.nic.reliability = gtn_nic::reliability::ReliabilityConfig::on();
             }
         }

@@ -1,18 +1,21 @@
 //! The assembled interconnect: topology graph + per-edge links.
 //!
-//! [`Fabric::send_message`] is the single entry point the NIC model uses:
-//! it segments the message, walks each packet edge by edge across the
-//! precomputed route updating per-link occupancy, and reports when the
-//! first and last packets land at the destination NIC. Packets of one
-//! message pipeline (packet *k+1* serializes on the first edge while packet
-//! *k* crosses the last), which is what lets an 8 MB transfer approach line
-//! rate instead of paying per-hop latency per packet. Because every
-//! directed edge owns exactly one serializing [`Link`], congestion emerges
-//! wherever routes share an edge — a fat-tree core link or dragonfly
-//! global link contends exactly like the star's downlinks always have.
+//! [`Fabric::send_message`] segments a message, walks each packet edge by
+//! edge across the precomputed route updating per-link occupancy, and
+//! reports when the first and last packets land at the destination NIC;
+//! [`Fabric::send_message_faulty`] makes the same walk and adds the fault
+//! plan's verdict. Packets of one message pipeline (packet *k+1*
+//! serializes on the first edge while packet *k* crosses the last), which
+//! is what lets an 8 MB transfer approach line rate instead of paying
+//! per-hop latency per packet. Because every directed edge owns exactly
+//! one serializing [`Link`], congestion emerges wherever routes share an
+//! edge — a fat-tree core link or dragonfly global link contends exactly
+//! like the star's downlinks always have.
 
 use crate::config::FabricConfig;
-use crate::faults::{CrashComponent, DegradeComponent, DegradeDrop, Delivery, FaultPlan};
+use crate::faults::{
+    CrashComponent, DegradeComponent, DegradeDrop, DegradeEffect, Delivery, FaultPlan,
+};
 use crate::graph::FabricGraph;
 use crate::link::Link;
 use crate::packet::segment;
@@ -28,6 +31,16 @@ pub struct MessageTiming {
     pub last_arrival: SimTime,
     /// Number of packets the message was segmented into.
     pub packets: u64,
+}
+
+/// What one walk of a message through the fabric found: its timing plus
+/// the route facts the fault verdict needs.
+struct Walk {
+    timing: MessageTiming,
+    /// The gray-failure drop verdict drawn for the route, if any.
+    degrade_drop: Option<DegradeDrop>,
+    /// Withdrawals left the pair with no surviving route.
+    unroutable: bool,
 }
 
 /// One route repaired by route-around failover: emitted per affected host
@@ -70,13 +83,6 @@ pub struct Fabric {
     nic_degrades: Vec<Vec<u32>>,
     /// Fast gate for the gray-failure path.
     has_degrades: bool,
-    /// Degrade drop verdict of the most recent [`Fabric::send_message`],
-    /// consumed by [`Fabric::send_message_faulty`] (which always calls
-    /// `send_message` first, so the flag can never go stale).
-    last_degrade_drop: Option<DegradeDrop>,
-    /// Did the most recent send find no surviving route (withdrawals
-    /// partitioned the pair)?
-    last_unroutable: bool,
     /// Scheduled route withdrawals, sorted by (time, edge): edge crashes
     /// and persistent degrades each withdraw both directed edges at onset
     /// plus the configured reroute delay. Applied lazily — fabric calls
@@ -200,8 +206,6 @@ impl Fabric {
             edge_degrades,
             nic_degrades,
             has_degrades,
-            last_degrade_drop: None,
-            last_unroutable: false,
             pending_withdrawals,
             reroute_log: Vec::new(),
             partitioned_pairs: 0,
@@ -231,7 +235,9 @@ impl Fabric {
     }
 
     /// Send `bytes` of payload from `src` to `dst`, the first bit ready at
-    /// `now`. Updates link occupancy and returns the delivery timing.
+    /// `now`. Updates link occupancy and returns the delivery timing. Gray
+    /// failures on the route delay the message but never drop it here;
+    /// [`Fabric::send_message_faulty`] is the path that judges drops.
     pub fn send_message(
         &mut self,
         now: SimTime,
@@ -239,11 +245,48 @@ impl Fabric {
         dst: NodeId,
         bytes: u64,
     ) -> MessageTiming {
+        self.walk(now, src, dst, bytes).timing
+    }
+
+    /// Like [`Fabric::send_message`], but additionally judges the message
+    /// against the configured fault plan. The links are charged either way
+    /// (a dropped packet still occupied the wire up to the point of loss;
+    /// modelling full occupancy is a conservative simplification), so
+    /// contention behaviour matches the lossless fabric exactly. Loopback
+    /// never faults: it does not cross the fabric.
+    pub fn send_message_faulty(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+    ) -> (MessageTiming, Delivery) {
+        let walk = self.walk(now, src, dst, bytes);
+        if src == dst {
+            return (walk.timing, Delivery::Delivered);
+        }
+        // A pair the withdrawals partitioned black-holes like a crash (the
+        // `PeerDead` fallback); otherwise walk the (possibly repaired)
+        // route against the edge-crash times.
+        let route_dead =
+            walk.unroutable || (self.has_edge_crashes && self.route_dead(now, src, dst));
+        let verdict = self.faults.judge(
+            now,
+            src,
+            dst,
+            walk.timing.packets,
+            route_dead,
+            walk.degrade_drop,
+        );
+        (walk.timing, verdict)
+    }
+
+    /// Segment the message, draw its route's gray-failure effect, and walk
+    /// each packet edge by edge, charging link occupancy.
+    fn walk(&mut self, now: SimTime, src: NodeId, dst: NodeId, bytes: u64) -> Walk {
         assert!(src.index() < self.n_nodes, "src {src} out of range");
         assert!(dst.index() < self.n_nodes, "dst {dst} out of range");
         self.messages_sent += 1;
-        self.last_degrade_drop = None;
-        self.last_unroutable = false;
 
         if src == dst {
             // Loopback through the local NIC: fixed small latency plus a
@@ -253,10 +296,14 @@ impl Fabric {
             let d = SimDuration::from_ns(self.config.loopback_latency_ns)
                 + SimDuration::for_bytes_at_gbps(bytes, self.config.link_gbps);
             let t = now + d;
-            return MessageTiming {
-                first_arrival: t,
-                last_arrival: t,
-                packets: 1,
+            return Walk {
+                timing: MessageTiming {
+                    first_arrival: t,
+                    last_arrival: t,
+                    packets: 1,
+                },
+                degrade_drop: None,
+                unroutable: false,
             };
         }
 
@@ -267,12 +314,12 @@ impl Fabric {
         // Gray failures: resolve the specs this message's route crosses,
         // draw their combined effect once per message (not per packet —
         // the ARQ layer judges whole messages), and start the walk after
-        // the extra latency. A drop verdict is stashed for the faulty
-        // path; the lossless path models the latency only.
+        // the extra latency. The drop verdict goes back to the caller.
         let mut inject = now;
+        let mut degrade_drop = None;
         if self.has_degrades {
             let effect = self.route_degrade_effect(now, src, dst);
-            self.last_degrade_drop = effect.drop;
+            degrade_drop = effect.drop;
             inject = now + SimDuration::from_ns(effect.extra_ns);
         }
 
@@ -296,11 +343,14 @@ impl Fabric {
                     // no link is charged; the faulty path turns this into
                     // a crash drop and the lossless path cannot get here
                     // (failover implies the ARQ layer is on).
-                    self.last_unroutable = true;
-                    return MessageTiming {
-                        first_arrival: now,
-                        last_arrival: now,
-                        packets: n_packets,
+                    return Walk {
+                        timing: MessageTiming {
+                            first_arrival: now,
+                            last_arrival: now,
+                            packets: n_packets,
+                        },
+                        degrade_drop,
+                        unroutable: true,
                     };
                 };
                 if hops > 0 {
@@ -314,22 +364,21 @@ impl Fabric {
             first_arrival = first_arrival.min(head);
             last_arrival = last_arrival.max(head);
         }
-        MessageTiming {
-            first_arrival,
-            last_arrival,
-            packets: n_packets,
+        Walk {
+            timing: MessageTiming {
+                first_arrival,
+                last_arrival,
+                packets: n_packets,
+            },
+            degrade_drop,
+            unroutable: false,
         }
     }
 
     /// Combined gray-failure effect on one `src -> dst` message: the
     /// degrade specs of both endpoint NICs plus every spec riding an edge
     /// of the (flow-pinned) route.
-    fn route_degrade_effect(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-    ) -> crate::faults::DegradeEffect {
+    fn route_degrade_effect(&mut self, now: SimTime, src: NodeId, dst: NodeId) -> DegradeEffect {
         let mut specs: Vec<u32> = Vec::new();
         specs.extend_from_slice(&self.nic_degrades[src.index()]);
         let mut at = src.0;
@@ -393,39 +442,6 @@ impl Fabric {
         }
     }
 
-    /// Like [`Fabric::send_message`], but additionally judges the message
-    /// against the configured fault plan. The links are charged either way
-    /// (a dropped packet still occupied the wire up to the point of loss;
-    /// modelling full occupancy is a conservative simplification), so
-    /// contention behaviour matches the lossless fabric exactly. Loopback
-    /// never faults: it does not cross the fabric.
-    pub fn send_message_faulty(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-    ) -> (MessageTiming, Delivery) {
-        let timing = self.send_message(now, src, dst, bytes);
-        if src == dst {
-            return (timing, Delivery::Delivered);
-        }
-        // A pair the withdrawals partitioned black-holes like a crash (the
-        // `PeerDead` fallback); otherwise walk the (possibly repaired)
-        // route against the edge-crash times.
-        let route_dead =
-            self.last_unroutable || (self.has_edge_crashes && self.route_dead(now, src, dst));
-        let verdict = self.faults.judge_degraded(
-            now,
-            src,
-            dst,
-            timing.packets,
-            route_dead,
-            self.last_degrade_drop,
-        );
-        (timing, verdict)
-    }
-
     /// Does the (deterministic) `src -> dst` route cross an edge whose
     /// crash-stop time is at or before `now`? (A withdrawn-route partition
     /// is caught earlier, by the send walk itself.)
@@ -459,8 +475,8 @@ impl Fabric {
         self.partitioned_pairs
     }
 
-    /// Fault counters (`drops`, `packets_dropped`, `outage_drops`,
-    /// `corruptions`, `messages_judged`). Empty with faults disabled.
+    /// Fault counters (see [`FaultPlan::stats`]). Empty with faults
+    /// disabled.
     pub fn fault_stats(&self) -> &gtn_sim::stats::StatSet {
         self.faults.stats()
     }

@@ -1,5 +1,5 @@
-//! Deterministic fault injection: packet loss, message corruption,
-//! transient link outages, and permanent crash-stop failures.
+//! Deterministic fault injection: seeded packet loss, permanent crash-stop
+//! failures, and gray degradation.
 //!
 //! Every fault decision draws from [`SimRng`] streams forked from a single
 //! seed, so a run with the same seed (and the same event order, which the
@@ -10,21 +10,22 @@
 //!
 //! The plan judges at *message* granularity on top of the fabric's packet
 //! segmentation: a message is dropped if any of its packets is lost (i.i.d.
-//! per-packet Bernoulli) or if its send time falls inside a scheduled outage
-//! window of the directed `src → dst` pair. Corruption is a per-message
-//! Bernoulli; a corrupted message still arrives (and still occupies the
-//! links) but its payload must not be committed by the receiver — the NIC's
-//! reliability layer treats it like a loss and waits for the retransmit.
+//! per-packet Bernoulli).
 //!
-//! Crash-stop failures are the permanent counterpart of outage windows: a
-//! [`CrashSpec`] kills a whole node, a node's NIC, or a single (undirected)
-//! link at a fixed sim time, and it never comes back. From that instant the
-//! fabric black-holes every message that touches the dead component
-//! (counted in `crash_drops`); detection and recovery are the cluster
-//! layer's problem, not the fabric's. Crash draws consume no randomness, so
-//! adding a crash to a seeded-loss run does not reshuffle the loss stream.
-
-use std::collections::HashMap;
+//! A [`CrashSpec`] kills a whole node, a node's NIC, a host pair's link, or
+//! a single graph edge at a fixed sim time, and it never comes back. From
+//! that instant the fabric black-holes every message that touches the dead
+//! component (counted in `crash_drops`); detection and recovery are the
+//! cluster layer's problem, not the fabric's. Crash checks consume no
+//! randomness, so adding a crash to a seeded-loss run does not reshuffle
+//! the loss stream.
+//!
+//! A [`DegradeSpec`] keeps its component up but makes it misbehave for a
+//! window: extra latency, seeded jitter, bursty loss, periodic flap-down.
+//! The fabric draws a message's degrade effect first
+//! ([`FaultPlan::judge_degrades`]), because extra latency shifts the
+//! packet walk; [`FaultPlan::judge`] then gives the message its one
+//! verdict.
 
 use gtn_mem::NodeId;
 use gtn_sim::rng::SimRng;
@@ -54,8 +55,7 @@ pub enum CrashComponent {
     /// Unlike [`CrashComponent::Link`], which severs a host *pair*
     /// regardless of routing, an edge crash kills a physical wire: only
     /// pairs whose routes actually cross it lose connectivity. The fabric
-    /// resolves routes and reports the verdict via
-    /// [`FaultPlan::judge_routed`].
+    /// resolves routes and passes the verdict to [`FaultPlan::judge`].
     Edge {
         /// One endpoint (graph vertex id).
         a: u32,
@@ -76,7 +76,7 @@ impl std::fmt::Display for CrashComponent {
 }
 
 /// A permanent crash-stop failure: `component` dies at `at_ns` and never
-/// recovers (contrast with the transient outage windows, which end).
+/// recovers (contrast with a flapping [`DegradeSpec`], which comes back).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashSpec {
     /// What dies.
@@ -87,9 +87,11 @@ pub struct CrashSpec {
 
 impl CrashSpec {
     /// The node a recovery layer should treat as the *culprit*: the crashed
-    /// node for node/NIC crashes, the lower-numbered endpoint for a link
-    /// crash (a deterministic convention — with only connectivity lost,
-    /// either end could equally be blamed).
+    /// node for node/NIC crashes, the lower-numbered endpoint for a link or
+    /// graph-edge crash (a deterministic convention — with only
+    /// connectivity lost, either end could equally be blamed; for a graph
+    /// edge the lower endpoint is the host side whenever one endpoint is a
+    /// host, since hosts number below switches).
     pub fn culprit(&self) -> u32 {
         match self.component {
             CrashComponent::Node(n) | CrashComponent::Nic(n) => n,
@@ -120,8 +122,8 @@ pub enum DegradeComponent {
 /// latency, seeded jitter, loss bursts, periodic flapping. All effects are
 /// optional and compose; an all-zero spec is a no-op. Deterministic under
 /// the plan seed: each spec owns a forked [`SimRng`] stream, so adding a
-/// degrade never reshuffles the loss/corruption draws of healthy paths
-/// (and two degrades never reshuffle each other).
+/// degrade never reshuffles the loss draws of healthy paths (and two
+/// degrades never reshuffle each other).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DegradeSpec {
     /// What is sick.
@@ -226,6 +228,12 @@ impl DegradeSpec {
         now_ns >= self.from_ns && (self.until_ns == 0 || now_ns < self.until_ns)
     }
 
+    /// Can this degrade drop traffic (seeded loss or flap-down windows)?
+    /// Latency and jitter alone only delay it.
+    pub fn can_drop(&self) -> bool {
+        self.loss > 0.0 || self.flap_period_ns > 0
+    }
+
     /// Is the component flap-down at `now_ns`? (Requires the window open.)
     pub fn flap_down_at(&self, now_ns: u64) -> bool {
         if self.flap_period_ns == 0 || self.flap_down_ns == 0 {
@@ -287,22 +295,9 @@ pub struct FaultConfig {
     /// Seed for the fault streams. Independent of workload seeds so the
     /// same traffic can be replayed under different fault draws.
     pub seed: u64,
-    /// Per-packet i.i.d. loss probability in `[0, 1)`.
+    /// Per-packet i.i.d. loss probability in `[0, 1]` (1.0 is a dead link,
+    /// used to exhaust retry budgets).
     pub packet_loss: f64,
-    /// Per-message corruption probability in `[0, 1)`. Corrupted messages
-    /// arrive on time but carry an invalid payload.
-    pub message_corruption: f64,
-    /// Mean time between outage onsets per directed link pair, ns.
-    /// Zero disables outages.
-    pub outage_mtbf_ns: u64,
-    /// Duration of each outage window, ns.
-    pub outage_duration_ns: u64,
-    /// Horizon over which outage windows are pre-generated, ns. Messages
-    /// sent past the horizon see no outages — such messages are counted in
-    /// the `past_horizon` fabric stat and trip a one-time warning, so an
-    /// under-sized horizon cannot silently turn outages off mid-run. Must
-    /// be nonzero when `outage_mtbf_ns` is nonzero.
-    pub outage_horizon_ns: u64,
     /// Permanent crash-stop failures, in no particular order. Empty (the
     /// default) means no component ever dies.
     pub crashes: Vec<CrashSpec>,
@@ -319,10 +314,6 @@ impl FaultConfig {
         FaultConfig {
             seed: 0,
             packet_loss: 0.0,
-            message_corruption: 0.0,
-            outage_mtbf_ns: 0,
-            outage_duration_ns: 0,
-            outage_horizon_ns: 0,
             crashes: Vec::new(),
             degrades: Vec::new(),
         }
@@ -352,11 +343,6 @@ impl FaultConfig {
         FaultConfig::none().with_crash(CrashComponent::Link { a, b }, at_ns)
     }
 
-    /// A single undirected graph-edge crash at `at_ns` (vertex ids).
-    pub fn crash_edge(a: u32, b: u32, at_ns: u64) -> Self {
-        FaultConfig::none().with_crash(CrashComponent::Edge { a, b }, at_ns)
-    }
-
     /// Append one crash-stop failure (builder style, composes with loss).
     pub fn with_crash(mut self, component: CrashComponent, at_ns: u64) -> Self {
         self.crashes.push(CrashSpec { component, at_ns });
@@ -380,16 +366,14 @@ impl FaultConfig {
 
     /// True when no fault class is enabled (the default).
     pub fn is_none(&self) -> bool {
-        self.packet_loss == 0.0
-            && self.message_corruption == 0.0
-            && self.outage_mtbf_ns == 0
-            && self.crashes.is_empty()
-            && self.degrades.is_empty()
+        self.packet_loss == 0.0 && self.crashes.is_empty() && self.degrades.is_empty()
     }
 
-    /// True when any gray failure is configured.
-    pub fn has_degrades(&self) -> bool {
-        !self.degrades.is_empty()
+    /// Can the plan drop messages that a retransmit would recover: seeded
+    /// loss, or a lossy or flapping degrade? Crash-stop drops are not
+    /// counted: no retransmit crosses a dead component.
+    pub fn can_drop(&self) -> bool {
+        self.packet_loss > 0.0 || self.degrades.iter().any(DegradeSpec::can_drop)
     }
 
     /// When `node`'s compute (CPU/GPU) dies, if ever: the earliest
@@ -441,16 +425,6 @@ impl FaultConfig {
                 self.packet_loss
             ));
         }
-        if !(0.0..=1.0).contains(&self.message_corruption) {
-            return Err(format!(
-                "message_corruption must be in [0,1], got {}",
-                self.message_corruption
-            ));
-        }
-        if self.outage_mtbf_ns > 0 && (self.outage_duration_ns == 0 || self.outage_horizon_ns == 0)
-        {
-            return Err("outages need nonzero outage_duration_ns and outage_horizon_ns".into());
-        }
         for spec in &self.degrades {
             spec.validate()?;
         }
@@ -469,9 +443,7 @@ impl Default for FaultConfig {
 pub enum Delivery {
     /// Arrives intact.
     Delivered,
-    /// Arrives on time but the payload is garbage; must not be committed.
-    Corrupted,
-    /// Never arrives (packet loss or outage window).
+    /// Never arrives (crash, degrade drop, or packet loss).
     Dropped,
 }
 
@@ -481,21 +453,13 @@ pub enum Delivery {
 pub struct FaultPlan {
     config: FaultConfig,
     packet_rng: SimRng,
-    message_rng: SimRng,
-    outage_root: SimRng,
-    /// Outage windows per directed pair, generated lazily and cached so a
-    /// pair's schedule does not depend on which other pairs ever talk.
-    outages: HashMap<(u32, u32), Vec<(SimTime, SimTime)>>,
     /// One seeded stream per [`DegradeSpec`] (index-aligned with
     /// `config.degrades`), so degrades never reshuffle each other's draws
-    /// or the loss/corruption streams.
+    /// or the loss stream.
     degrade_rngs: Vec<SimRng>,
     /// Remaining forced drops of an in-progress loss burst, per spec.
     degrade_burst: Vec<u64>,
     stats: StatSet,
-    /// One-shot latch for the past-horizon warning, so a long run prints
-    /// the diagnosis once instead of once per message.
-    warned_past_horizon: bool,
 }
 
 impl FaultPlan {
@@ -508,30 +472,19 @@ impl FaultPlan {
             .collect();
         FaultPlan {
             packet_rng: root.fork(1),
-            message_rng: root.fork(2),
-            outage_root: root.fork(3),
             degrade_rngs,
             degrade_burst: vec![0; config.degrades.len()],
             config,
-            outages: HashMap::new(),
             stats: StatSet::new(),
-            warned_past_horizon: false,
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
-    /// Fault counters: `drops`, `packets_dropped`, `outage_drops`,
-    /// `crash_drops` (messages black-holed by a crash-stop failure),
-    /// `corruptions`, `messages_judged`, `past_horizon` (messages judged
-    /// after `outage_horizon_ns`, where no outage windows exist), and the
-    /// gray-failure family: `degraded_messages` (messages that crossed an
-    /// active degrade, delivered or not), `degrade_extra_ns` (total added
-    /// latency), `degrade_drops` (seeded loss/burst drops), `flap_drops`
-    /// (deterministic flap-down drops).
+    /// Fault counters: `messages_judged`, `drops`, `packets_dropped`,
+    /// `crash_drops` (messages black-holed by a crash-stop failure), and
+    /// the gray-failure family: `degraded_messages` (messages that crossed
+    /// an active degrade, delivered or not), `degrade_extra_ns` (total
+    /// added latency), `degrade_drops` (seeded loss/burst drops),
+    /// `flap_drops` (deterministic flap-down drops).
     pub fn stats(&self) -> &StatSet {
         &self.stats
     }
@@ -542,9 +495,8 @@ impl FaultPlan {
     /// first drop verdict wins but later specs still draw, so verdicts on
     /// one spec never depend on another's outcome. Counts
     /// `degraded_messages`/`degrade_extra_ns` here; drop counting is
-    /// deferred to [`FaultPlan::judge_degraded`], because the lossless
-    /// fabric path applies latency only and must not count drops it does
-    /// not take.
+    /// deferred to [`FaultPlan::judge`], because the lossless fabric path
+    /// applies latency only and must not count drops it does not take.
     pub fn judge_degrades(
         &mut self,
         now: SimTime,
@@ -591,47 +543,43 @@ impl FaultPlan {
         effect
     }
 
-    /// Judge one non-loopback message of `packets` packets sent at `now`.
-    /// With faults disabled this draws nothing and mutates nothing.
-    pub fn judge(&mut self, now: SimTime, src: NodeId, dst: NodeId, packets: u64) -> Delivery {
+    /// The one verdict on a non-loopback message of `packets` packets sent
+    /// at `now`, given the route facts the fabric resolved: `route_dead`
+    /// (the route crosses a crashed graph edge, or withdrawals left the
+    /// pair unroutable) and `degrade_drop` (the drop verdict
+    /// [`FaultPlan::judge_degrades`] already drew). Precedence: a crash on
+    /// the route or the pair, then the degrade drop, then the loss draw.
+    /// Only the loss draw consumes randomness here, so layering a crash
+    /// onto a seeded-loss run leaves every surviving path's draws
+    /// untouched. With faults disabled this draws nothing and mutates
+    /// nothing.
+    pub fn judge(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        packets: u64,
+        route_dead: bool,
+        degrade_drop: Option<DegradeDrop>,
+    ) -> Delivery {
         if self.config.is_none() {
             return Delivery::Delivered;
         }
         self.stats.inc("messages_judged");
 
-        // Crash-stop first: a dead component black-holes everything, with
-        // no randomness consumed, so layering a crash onto a seeded-loss
-        // run leaves the loss draws of every *surviving* path untouched.
-        if !self.config.crashes.is_empty() && self.link_dead(now, src, dst) {
+        if route_dead || (!self.config.crashes.is_empty() && self.link_dead(now, src, dst)) {
             self.stats.inc("drops");
             self.stats.inc("crash_drops");
             return Delivery::Dropped;
         }
 
-        if self.config.outage_mtbf_ns > 0 {
-            // The outage schedule only covers [0, outage_horizon_ns):
-            // messages judged past it silently see a fault-free link. That
-            // is usually a mis-sized horizon, not an intent — count it and
-            // say so once, so the footgun is visible instead of silent.
-            if now >= SimTime::from_ns(self.config.outage_horizon_ns) {
-                self.stats.inc("past_horizon");
-                if !self.warned_past_horizon {
-                    self.warned_past_horizon = true;
-                    eprintln!(
-                        "gtn-fabric: WARNING: message judged at {now} is past \
-                         outage_horizon_ns = {} — no outage windows are \
-                         generated there; raise the horizon if outages \
-                         should cover the whole run (warning printed once; \
-                         see the `past_horizon` fabric stat for the count)",
-                        self.config.outage_horizon_ns
-                    );
-                }
-            }
-            if self.in_outage(now, src, dst) {
-                self.stats.inc("drops");
-                self.stats.inc("outage_drops");
-                return Delivery::Dropped;
-            }
+        if let Some(kind) = degrade_drop {
+            self.stats.inc("drops");
+            self.stats.inc(match kind {
+                DegradeDrop::Flap => "flap_drops",
+                DegradeDrop::Loss => "degrade_drops",
+            });
+            return Delivery::Dropped;
         }
 
         if self.config.packet_loss > 0.0 {
@@ -648,73 +596,7 @@ impl FaultPlan {
             }
         }
 
-        if self.config.message_corruption > 0.0
-            && self.message_rng.unit_f64() < self.config.message_corruption
-        {
-            self.stats.inc("corruptions");
-            return Delivery::Corrupted;
-        }
-
         Delivery::Delivered
-    }
-
-    /// Like [`FaultPlan::judge`], with the fabric's verdict on whether the
-    /// message's *route* crosses a crashed graph edge folded in.
-    /// [`CrashComponent::Edge`] faults live on physical wires the plan
-    /// cannot resolve by itself (routing belongs to the fabric), so the
-    /// fabric walks the route and passes `route_dead`; a dead route is a
-    /// crash drop, consumes no randomness, and — like every crash — takes
-    /// precedence over outage/loss/corruption draws.
-    pub fn judge_routed(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        packets: u64,
-        route_dead: bool,
-    ) -> Delivery {
-        self.judge_degraded(now, src, dst, packets, route_dead, None)
-    }
-
-    /// Full verdict: crash (route or pair) first, then a gray-failure drop
-    /// the fabric already drew via [`FaultPlan::judge_degrades`], then the
-    /// outage/loss/corruption draws. Degrade randomness was consumed when
-    /// the effect was drawn, so precedence here is pure bookkeeping.
-    pub fn judge_degraded(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        packets: u64,
-        route_dead: bool,
-        degrade_drop: Option<DegradeDrop>,
-    ) -> Delivery {
-        if route_dead {
-            // Edge crashes imply a non-empty crash list, so the plan is
-            // active and counting.
-            debug_assert!(!self.config.is_none());
-            self.stats.inc("messages_judged");
-            self.stats.inc("drops");
-            self.stats.inc("crash_drops");
-            return Delivery::Dropped;
-        }
-        if let Some(kind) = degrade_drop {
-            if !self.config.crashes.is_empty() && self.link_dead(now, src, dst) {
-                // A crashed pair outranks its own degrade for counting.
-                self.stats.inc("messages_judged");
-                self.stats.inc("drops");
-                self.stats.inc("crash_drops");
-                return Delivery::Dropped;
-            }
-            self.stats.inc("messages_judged");
-            self.stats.inc("drops");
-            self.stats.inc(match kind {
-                DegradeDrop::Flap => "flap_drops",
-                DegradeDrop::Loss => "degrade_drops",
-            });
-            return Delivery::Dropped;
-        }
-        self.judge(now, src, dst, packets)
     }
 
     /// Has the `src → dst` path been severed by a crash at or before `now`?
@@ -723,46 +605,44 @@ impl FaultPlan {
             .link_down_at(src.0, dst.0)
             .is_some_and(|at| now >= SimTime::from_ns(at))
     }
-
-    fn in_outage(&mut self, now: SimTime, src: NodeId, dst: NodeId) -> bool {
-        let key = (src.0, dst.0);
-        let config = &self.config;
-        let windows = self.outages.entry(key).or_insert_with(|| {
-            // Poisson onsets: exponential gaps with mean `outage_mtbf_ns`,
-            // from a per-pair stream so schedules are pair-independent.
-            let stream = ((key.0 as u64) << 32) | key.1 as u64;
-            let mut rng = self.outage_root.fork(stream);
-            let mut windows = Vec::new();
-            let mut t_ns = 0u64;
-            loop {
-                let u = rng.unit_f64();
-                let gap = (-(1.0 - u).ln() * config.outage_mtbf_ns as f64).max(1.0);
-                t_ns = t_ns.saturating_add(gap as u64);
-                if t_ns >= config.outage_horizon_ns {
-                    break;
-                }
-                windows.push((
-                    SimTime::from_ns(t_ns),
-                    SimTime::from_ns(t_ns + config.outage_duration_ns),
-                ));
-                t_ns += config.outage_duration_ns;
-            }
-            windows
-        });
-        windows
-            .iter()
-            .any(|&(start, end)| now >= start && now < end)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Judge one message on a route with no crashed edge and no degrade
+    /// drop.
+    fn judge(plan: &mut FaultPlan, ns: u64, src: u32, dst: u32, packets: u64) -> Delivery {
+        plan.judge(
+            SimTime::from_ns(ns),
+            NodeId(src),
+            NodeId(dst),
+            packets,
+            false,
+            None,
+        )
+    }
+
     fn judge_n(plan: &mut FaultPlan, n: usize) -> Vec<Delivery> {
-        (0..n)
-            .map(|i| plan.judge(SimTime::from_ns(i as u64 * 500), NodeId(0), NodeId(1), 4))
+        (0..n as u64)
+            .map(|i| judge(plan, i * 500, 0, 1, 4))
             .collect()
+    }
+
+    #[test]
+    fn culprit_extraction_covers_every_component() {
+        let culprit = |component| {
+            CrashSpec {
+                component,
+                at_ns: 0,
+            }
+            .culprit()
+        };
+        assert_eq!(culprit(CrashComponent::Node(3)), 3);
+        assert_eq!(culprit(CrashComponent::Nic(1)), 1);
+        assert_eq!(culprit(CrashComponent::Link { a: 4, b: 2 }), 2);
+        assert_eq!(culprit(CrashComponent::Edge { a: 9, b: 5 }), 5);
     }
 
     #[test]
@@ -776,12 +656,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_verdicts() {
-        let cfg = FaultConfig {
-            seed: 42,
-            packet_loss: 0.05,
-            message_corruption: 0.02,
-            ..FaultConfig::none()
-        };
+        let cfg = FaultConfig::loss(42, 0.05);
         let mut a = FaultPlan::new(cfg.clone());
         let mut b = FaultPlan::new(cfg);
         assert_eq!(judge_n(&mut a, 2000), judge_n(&mut b, 2000));
@@ -799,82 +674,13 @@ mod tests {
     }
 
     #[test]
-    fn corruption_and_loss_are_separate_verdicts() {
-        let cfg = FaultConfig {
-            seed: 3,
-            message_corruption: 0.5,
-            ..FaultConfig::none()
-        };
-        let mut plan = FaultPlan::new(cfg);
-        let verdicts = judge_n(&mut plan, 1000);
-        let corrupted = verdicts
-            .iter()
-            .filter(|&&d| d == Delivery::Corrupted)
-            .count();
-        assert!((350..=650).contains(&corrupted), "corrupted {corrupted}");
-        assert_eq!(plan.stats().counter("drops"), 0);
-        assert_eq!(plan.stats().counter("corruptions"), corrupted as u64);
-    }
-
-    #[test]
-    fn outage_windows_drop_everything_inside_them() {
-        let cfg = FaultConfig {
-            seed: 11,
-            outage_mtbf_ns: 10_000,
-            outage_duration_ns: 2_000,
-            outage_horizon_ns: 1_000_000,
-            ..FaultConfig::none()
-        };
-        let mut plan = FaultPlan::new(cfg);
-        let mut dropped = 0;
-        for i in 0..10_000u64 {
-            if plan.judge(SimTime::from_ns(i * 100), NodeId(0), NodeId(1), 1) == Delivery::Dropped {
-                dropped += 1;
-            }
-        }
-        // ~1/6 duty cycle (2 µs outage per ~12 µs period) over 1 ms probed.
-        assert!(dropped > 500, "dropped {dropped}");
-        assert_eq!(plan.stats().counter("outage_drops"), dropped);
-        // A different pair has an independent schedule but also sees drops.
-        let d2 = (0..10_000u64)
-            .filter(|i| {
-                plan.judge(SimTime::from_ns(i * 100), NodeId(1), NodeId(0), 1) == Delivery::Dropped
-            })
-            .count();
-        assert!(d2 > 500, "reverse pair dropped {d2}");
-    }
-
-    #[test]
-    fn past_horizon_judgements_are_counted_not_silent() {
-        let cfg = FaultConfig {
-            seed: 5,
-            outage_mtbf_ns: 10_000,
-            outage_duration_ns: 2_000,
-            outage_horizon_ns: 50_000,
-            ..FaultConfig::none()
-        };
-        let mut plan = FaultPlan::new(cfg);
-        // Inside the horizon: no past_horizon counts.
-        plan.judge(SimTime::from_ns(40_000), NodeId(0), NodeId(1), 1);
-        assert_eq!(plan.stats().counter("past_horizon"), 0);
-        // Past it: every judgement is tallied (and warned about once).
-        for i in 0..3u64 {
-            plan.judge(SimTime::from_ns(60_000 + i), NodeId(0), NodeId(1), 1);
-        }
-        assert_eq!(plan.stats().counter("past_horizon"), 3);
-    }
-
-    #[test]
     fn node_crash_black_holes_both_directions_from_its_time() {
         let mut plan = FaultPlan::new(FaultConfig::crash(1, 5_000));
-        let judge = |plan: &mut FaultPlan, ns, src, dst| {
-            plan.judge(SimTime::from_ns(ns), NodeId(src), NodeId(dst), 4)
-        };
-        assert_eq!(judge(&mut plan, 4_999, 0, 1), Delivery::Delivered);
-        assert_eq!(judge(&mut plan, 5_000, 0, 1), Delivery::Dropped);
-        assert_eq!(judge(&mut plan, 9_000, 1, 0), Delivery::Dropped);
+        assert_eq!(judge(&mut plan, 4_999, 0, 1, 4), Delivery::Delivered);
+        assert_eq!(judge(&mut plan, 5_000, 0, 1, 4), Delivery::Dropped);
+        assert_eq!(judge(&mut plan, 9_000, 1, 0, 4), Delivery::Dropped);
         // Paths not touching the dead node survive.
-        assert_eq!(judge(&mut plan, 9_000, 0, 2), Delivery::Delivered);
+        assert_eq!(judge(&mut plan, 9_000, 0, 2, 4), Delivery::Delivered);
         assert_eq!(plan.stats().counter("crash_drops"), 2);
         assert_eq!(plan.stats().counter("drops"), 2);
     }
@@ -882,13 +688,10 @@ mod tests {
     #[test]
     fn link_crash_kills_only_the_named_pair() {
         let mut plan = FaultPlan::new(FaultConfig::crash_link(0, 2, 1_000));
-        let judge = |plan: &mut FaultPlan, src, dst| {
-            plan.judge(SimTime::from_ns(2_000), NodeId(src), NodeId(dst), 1)
-        };
-        assert_eq!(judge(&mut plan, 0, 2), Delivery::Dropped);
-        assert_eq!(judge(&mut plan, 2, 0), Delivery::Dropped);
-        assert_eq!(judge(&mut plan, 0, 1), Delivery::Delivered);
-        assert_eq!(judge(&mut plan, 2, 1), Delivery::Delivered);
+        assert_eq!(judge(&mut plan, 2_000, 0, 2, 1), Delivery::Dropped);
+        assert_eq!(judge(&mut plan, 2_000, 2, 0, 1), Delivery::Dropped);
+        assert_eq!(judge(&mut plan, 2_000, 0, 1, 1), Delivery::Delivered);
+        assert_eq!(judge(&mut plan, 2_000, 2, 1, 1), Delivery::Delivered);
     }
 
     #[test]
@@ -922,10 +725,9 @@ mod tests {
             ..FaultConfig::loss(9, 0.2)
         });
         for i in 0..500u64 {
-            let now = SimTime::from_ns(i * 100);
             assert_eq!(
-                plain.judge(now, NodeId(0), NodeId(1), 4),
-                crashed.judge(now, NodeId(0), NodeId(1), 4),
+                judge(&mut plain, i * 100, 0, 1, 4),
+                judge(&mut crashed, i * 100, 0, 1, 4),
                 "draw {i} diverged"
             );
         }
@@ -1023,13 +825,12 @@ mod tests {
             FaultConfig::loss(9, 0.2).with_degrade(DegradeSpec::edge(3, 4).jitter(5_000)),
         );
         for i in 0..500u64 {
-            let now = SimTime::from_ns(i * 100);
             // The degraded plan keeps drawing jitter on its own stream...
-            degraded.judge_degrades(now, [0u32]);
+            degraded.judge_degrades(SimTime::from_ns(i * 100), [0u32]);
             // ...while the shared pair's loss verdicts stay identical.
             assert_eq!(
-                plain.judge(now, NodeId(0), NodeId(1), 4),
-                degraded.judge(now, NodeId(0), NodeId(1), 4),
+                judge(&mut plain, i * 100, 0, 1, 4),
+                judge(&mut degraded, i * 100, 0, 1, 4),
                 "draw {i} diverged"
             );
         }
@@ -1045,24 +846,32 @@ mod tests {
         let effect = plan.judge_degrades(now, [0u32]);
         assert_eq!(effect.drop, Some(DegradeDrop::Loss));
         assert_eq!(
-            plan.judge_degraded(now, NodeId(0), NodeId(1), 1, false, effect.drop),
+            plan.judge(now, NodeId(0), NodeId(1), 1, false, effect.drop),
             Delivery::Dropped
         );
         assert_eq!(plan.stats().counter("degrade_drops"), 1);
         // Same drop verdict on a crashed pair: the crash takes the blame.
         assert_eq!(
-            plan.judge_degraded(now, NodeId(0), NodeId(5), 1, false, effect.drop),
+            plan.judge(now, NodeId(0), NodeId(5), 1, false, effect.drop),
             Delivery::Dropped
         );
         assert_eq!(plan.stats().counter("crash_drops"), 1);
         assert_eq!(plan.stats().counter("degrade_drops"), 1);
+        // So does a dead route on a surviving pair.
+        assert_eq!(
+            plan.judge(now, NodeId(0), NodeId(1), 1, true, effect.drop),
+            Delivery::Dropped
+        );
+        assert_eq!(plan.stats().counter("crash_drops"), 2);
+        assert_eq!(plan.stats().counter("degrade_drops"), 1);
         // Flap drops are tallied separately.
         assert_eq!(
-            plan.judge_degraded(now, NodeId(0), NodeId(1), 1, false, Some(DegradeDrop::Flap)),
+            plan.judge(now, NodeId(0), NodeId(1), 1, false, Some(DegradeDrop::Flap)),
             Delivery::Dropped
         );
         assert_eq!(plan.stats().counter("flap_drops"), 1);
-        assert_eq!(plan.stats().counter("drops"), 3);
+        assert_eq!(plan.stats().counter("drops"), 4);
+        assert_eq!(plan.stats().counter("messages_judged"), 4);
     }
 
     #[test]
@@ -1096,18 +905,6 @@ mod tests {
         .is_err());
         assert!(FaultConfig {
             packet_loss: -0.1,
-            ..FaultConfig::none()
-        }
-        .validate()
-        .is_err());
-        assert!(FaultConfig {
-            message_corruption: 1.5,
-            ..FaultConfig::none()
-        }
-        .validate()
-        .is_err());
-        assert!(FaultConfig {
-            outage_mtbf_ns: 10,
             ..FaultConfig::none()
         }
         .validate()

@@ -1,13 +1,14 @@
 //! Property tests for the fault-injection plan: the disabled plan is
-//! transparent, seeded plans are replayable, and the probability dials
-//! behave at their extremes.
+//! transparent, seeded plans are replayable, and the loss dial behaves at
+//! its extremes.
 
 use gtn_fabric::{Delivery, Fabric, FabricConfig, FaultConfig, FaultPlan};
 use gtn_mem::NodeId;
 use gtn_sim::time::SimTime;
 use proptest::prelude::*;
 
-/// Drive `plan` through a message schedule derived from `sizes`.
+/// Drive `plan` through a message schedule derived from `sizes`, every
+/// route healthy (no crashed edge, no degrade drop).
 fn judge_all(plan: &mut FaultPlan, sizes: &[u64]) -> Vec<Delivery> {
     sizes
         .iter()
@@ -18,6 +19,8 @@ fn judge_all(plan: &mut FaultPlan, sizes: &[u64]) -> Vec<Delivery> {
                 NodeId((i % 3) as u32),
                 NodeId(((i + 1) % 3) as u32),
                 packets.max(1),
+                false,
+                None,
             )
         })
         .collect()
@@ -48,20 +51,15 @@ proptest! {
         prop_assert_eq!(gated.fault_stats().counters().count(), 0);
     }
 
-    /// The same seed replays the same verdict sequence, whatever the dials.
+    /// The same seed replays the same verdict sequence, whatever the loss
+    /// rate.
     #[test]
     fn seeded_plans_are_replayable(
         seed in 0u64..1_000_000,
         loss_milli in 0u64..1000,
-        corrupt_milli in 0u64..1000,
         sizes in prop::collection::vec(1u64..32, 1..50),
     ) {
-        let cfg = FaultConfig {
-            seed,
-            packet_loss: loss_milli as f64 / 1000.0,
-            message_corruption: corrupt_milli as f64 / 1000.0,
-            ..FaultConfig::none()
-        };
+        let cfg = FaultConfig::loss(seed, loss_milli as f64 / 1000.0);
         let mut a = FaultPlan::new(cfg.clone());
         let mut b = FaultPlan::new(cfg);
         prop_assert_eq!(judge_all(&mut a, &sizes), judge_all(&mut b, &sizes));

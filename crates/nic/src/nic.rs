@@ -70,10 +70,6 @@ pub struct RxMessage {
     /// Sequence number assigned by the origin's reliability layer; `None`
     /// when ARQ is disabled or the message is not tracked (loopback, ACKs).
     pub seq: Option<u64>,
-    /// True when the fault plan corrupted this message in flight: it
-    /// arrives on time but the receiver must discard it (a real NIC's CRC
-    /// check fails) and wait for the retransmit.
-    pub corrupt: bool,
     /// What arrived.
     pub kind: RxKind,
 }
@@ -160,13 +156,6 @@ pub enum NicEvent {
 pub enum NicNote {
     /// The fault plan dropped this attempt of a tracked message.
     MessageDropped {
-        /// Tracked sequence number.
-        seq: u64,
-        /// Destination node.
-        target: NodeId,
-    },
-    /// The fault plan corrupted this attempt; it arrives but is discarded.
-    MessageCorrupted {
         /// Tracked sequence number.
         seq: u64,
         /// Destination node.
@@ -614,7 +603,6 @@ impl Nic {
                     origin: self.node,
                     injected_at: now,
                     seq: None,
-                    corrupt: false,
                     kind: RxKind::GetRequest {
                         src,
                         len,
@@ -736,28 +724,16 @@ impl Nic {
         let (timing, verdict) = fabric.send_message_faulty(now, self.node, target, bytes);
         msg.injected_at = now; // each attempt re-stamps its wire-stage start
         let seq = msg.seq.expect("tracked messages carry a sequence");
-        match verdict {
-            Delivery::Dropped => {
-                self.stats.inc("tx_dropped");
-                self.note(now, NicNote::MessageDropped { seq, target });
-                Vec::new()
-            }
-            Delivery::Corrupted => {
-                msg.corrupt = true;
-                self.stats.inc("tx_corrupted");
-                self.note(now, NicNote::MessageCorrupted { seq, target });
-                vec![NicOutput::Remote {
-                    node: target,
-                    at: timing.last_arrival,
-                    ev: NicEvent::RxArrive(msg),
-                }]
-            }
-            Delivery::Delivered => vec![NicOutput::Remote {
-                node: target,
-                at: timing.last_arrival,
-                ev: NicEvent::RxArrive(msg),
-            }],
+        if verdict == Delivery::Dropped {
+            self.stats.inc("tx_dropped");
+            self.note(now, NicNote::MessageDropped { seq, target });
+            return Vec::new();
         }
+        vec![NicOutput::Remote {
+            node: target,
+            at: timing.last_arrival,
+            ev: NicEvent::RxArrive(msg),
+        }]
     }
 
     /// Acknowledge sequence `seq` back to `to`, advertising the
@@ -786,7 +762,6 @@ impl Nic {
                 origin: self.node,
                 injected_at: now,
                 seq: None,
-                corrupt: false,
                 kind: RxKind::Ack { seq, credits },
             }),
         }]
@@ -1026,7 +1001,6 @@ impl Nic {
             origin: self.node,
             injected_at: now,
             seq: None,
-            corrupt: false,
             kind: RxKind::Put {
                 dst,
                 payload,
@@ -1068,12 +1042,6 @@ impl Nic {
             // advertised credits and resume any credit-stalled sends.
             self.rel.refresh_grant(msg.origin, credits);
             return self.drain_flow_queue(now, msg.origin, fabric);
-        }
-        if msg.corrupt {
-            // CRC failure: discard without ACK; the origin's retry timer
-            // will replay the message.
-            self.stats.inc("rx_corrupt_discarded");
-            return Vec::new();
         }
         self.stats.inc("rx_messages");
         // Wire stage: injection on the origin to last-packet arrival here.

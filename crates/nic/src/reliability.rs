@@ -2,10 +2,10 @@
 //! exponential backoff, and a bounded retry budget.
 //!
 //! The paper's fabric is lossless, so the seed model could treat every
-//! injected message as delivered. Once the fabric can drop or corrupt
-//! messages (see `gtn_fabric::faults`), the NIC needs an ARQ layer or any
-//! loss becomes a silent hang: GPU-TN's whole premise is kernels blocking on
-//! notification flags that only message arrivals bump.
+//! injected message as delivered. Once the fabric can drop messages (see
+//! `gtn_fabric::faults`), the NIC needs an ARQ layer or any loss becomes a
+//! silent hang: GPU-TN's whole premise is kernels blocking on notification
+//! flags that only message arrivals bump.
 //!
 //! Protocol (selective-repeat ARQ with in-order commit, the RC-queue-pair
 //! contract RDMA software is written against):

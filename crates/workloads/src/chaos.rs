@@ -44,7 +44,6 @@ use crate::jacobi::{self, JacobiParams};
 use crate::pingpong::Pingpong;
 use gtn_core::scenario::ConfigPatch;
 use gtn_core::RecoveryPolicy;
-use gtn_fabric::CrashComponent;
 
 /// How a chaos cell ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,18 +107,6 @@ pub struct ChaosReport {
 /// Integer ns of a sim time.
 fn ns_of(t: gtn_sim::time::SimTime) -> u64 {
     t.as_ps() / 1000
-}
-
-/// The node a crash component takes down (for survivor-set computation):
-/// the node itself for node/NIC crashes, the lower endpoint for a severed
-/// link or graph edge (the ring can only be re-formed around one of them;
-/// for a graph edge the lower endpoint is the host side whenever one
-/// endpoint is a host, since hosts number below switches).
-pub fn culprit_node(component: CrashComponent) -> u32 {
-    match component {
-        CrashComponent::Node(n) | CrashComponent::Nic(n) => n,
-        CrashComponent::Link { a, b } | CrashComponent::Edge { a, b } => a.min(b),
-    }
 }
 
 /// The patch a recovery run uses: same loss/pressure environment, but the
@@ -277,7 +264,7 @@ fn recover_rebuild(params: &ScenarioParams) -> u64 {
         .patch
         .crash
         .expect("rebuild recovery requires a crash cell");
-    let culprit = culprit_node(crash.component);
+    let culprit = crash.culprit();
     let survivors: Vec<u32> = (0..params.node_count()).filter(|&n| n != culprit).collect();
     let patch = recovery_patch(params.patch);
     let ap = AllreduceParams::new(
@@ -307,13 +294,6 @@ fn rerun_clean(params: &ScenarioParams, workload: &str) -> ScenarioResult {
 mod tests {
     use super::*;
     use gtn_core::Strategy;
-
-    #[test]
-    fn culprit_extraction_covers_every_component() {
-        assert_eq!(culprit_node(CrashComponent::Node(3)), 3);
-        assert_eq!(culprit_node(CrashComponent::Nic(1)), 1);
-        assert_eq!(culprit_node(CrashComponent::Link { a: 4, b: 2 }), 2);
-    }
 
     #[test]
     fn healthy_cell_completes() {

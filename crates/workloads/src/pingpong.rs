@@ -337,7 +337,8 @@ impl Workload for Pingpong {
         // Payload integrity is asserted inside the run; re-check the
         // structural invariant that intra-kernel delivery is GPU-TN's
         // defining phenomenon.
-        let r = run_any(params.strategy);
+        let r = try_run_flavor(Flavor::Std(params.strategy), params.patch)
+            .map_err(|f| format!("{}: {f}", params.strategy))?;
         let expect_intra = params.strategy == Strategy::GpuTn;
         if r.delivered_intra_kernel() != expect_intra {
             return Err(format!(

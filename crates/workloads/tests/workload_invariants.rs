@@ -44,7 +44,8 @@ fn seeded_loss_never_changes_a_verified_answer() {
     // the ARQ layer on, under every strategy each workload compares.
     // Verification must still pass and no message may exhaust its retry
     // budget; loss can only cost time, and across the sweep the injected
-    // drops must force at least one retransmission.
+    // drops must force at least one retransmission. A workload that moves
+    // fabric traffic must also show the patch reaching the fault plan.
     let mut total_retransmits = 0;
     for w in all_workloads() {
         for strategy in w.strategies() {
@@ -67,6 +68,13 @@ fn seeded_loss_never_changes_a_verified_answer() {
                 "{} {strategy}: loss sped the run up",
                 w.name()
             );
+            if base.stats.counter("fabric", "messages_sent") > 0 {
+                assert!(
+                    r.stats.counter("fabric", "messages_judged") > 0,
+                    "{} {strategy}: the loss patch never reached the fabric",
+                    w.name()
+                );
+            }
             total_retransmits += r.retransmits;
         }
     }
