@@ -25,7 +25,9 @@ const SEED: u64 = 0xF19;
 const FAULT_SEED: u64 = 2;
 const LOSS: [f64; 5] = [0.0, 0.001, 0.01, 0.05, 0.10];
 
-fn cell(strategy: Strategy, loss: f64) -> (f64, u64, u64) {
+/// One cell: microseconds per iteration, retransmits and the final
+/// per-node interiors.
+fn cell(strategy: Strategy, loss: f64) -> (f64, u64, Vec<Vec<f32>>) {
     let patch = ConfigPatch::loss(FAULT_SEED, loss);
     let r = run_with_config(
         JacobiParams::square4(N_LOCAL, ITERS, strategy, SEED),
@@ -38,7 +40,7 @@ fn cell(strategy: Strategy, loss: f64) -> (f64, u64, u64) {
     (
         r.scenario.per_iter.as_us_f64(),
         r.scenario.retransmits,
-        r.scenario.delivery_failures,
+        r.interiors,
     )
 }
 
@@ -61,8 +63,13 @@ fn main() {
         .collect();
     let cells = sweep::run(descriptors, |(strategy, loss)| cell(strategy, loss));
     for (rows, strategy) in cells.chunks(LOSS.len()).zip(strategies) {
-        let (base, _, _) = rows[0];
-        for (&loss, &(us, retx, _)) in LOSS.iter().zip(rows) {
+        let (base, _, lossless) = &rows[0];
+        for (&loss, (us, retx, interiors)) in LOSS.iter().zip(rows) {
+            assert!(
+                interiors == lossless,
+                "{strategy} at {}% loss diverges from its lossless grid",
+                loss * 100.0
+            );
             println!(
                 "{:<10} {:>11.1}% {:>14.2} {:>11.2}x {:>12}",
                 strategy.name(),

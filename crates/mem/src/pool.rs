@@ -12,6 +12,7 @@
 
 use crate::addr::{Addr, NodeId, RegionId};
 use std::fmt;
+use std::ops::Range;
 
 /// Access failure: the simulated analogue of a segfault / bad DMA descriptor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,6 +56,37 @@ impl std::error::Error for MemError {}
 struct Region {
     label: &'static str,
     data: Vec<u8>,
+}
+
+impl Region {
+    /// The byte range of `len` bytes at `addr`, if it lies in this region.
+    fn span(&self, addr: Addr, len: u64) -> Result<Range<usize>, MemError> {
+        let size = self.data.len() as u64;
+        match addr.offset.checked_add(len) {
+            Some(end) if end <= size => Ok(addr.offset as usize..end as usize),
+            _ => Err(MemError::OutOfBounds {
+                addr,
+                len,
+                region_size: size,
+            }),
+        }
+    }
+}
+
+/// Whether `a` and `b` name the same region (and so may overlap).
+pub(crate) fn same_region(a: Addr, b: Addr) -> bool {
+    a.node == b.node && a.region == b.region
+}
+
+/// `(&v[a], &mut v[b])` for `a != b`, split without `unsafe`.
+fn pair_mut<T>(v: &mut [T], a: usize, b: usize) -> (&T, &mut T) {
+    if a < b {
+        let (lo, hi) = v.split_at_mut(b);
+        (&lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = v.split_at_mut(a);
+        (&hi[0], &mut lo[b])
+    }
 }
 
 #[derive(Debug, Default)]
@@ -138,39 +170,37 @@ impl MemPool {
     /// Borrow `len` bytes at `addr`.
     pub fn try_read(&self, addr: Addr, len: u64) -> Result<&[u8], MemError> {
         let region = self.region(addr.node, addr.region)?;
-        let size = region.data.len() as u64;
-        let end = addr.offset.checked_add(len).ok_or(MemError::OutOfBounds {
-            addr,
-            len,
-            region_size: size,
-        })?;
-        if end > size {
-            return Err(MemError::OutOfBounds {
-                addr,
-                len,
-                region_size: size,
-            });
-        }
-        Ok(&region.data[addr.offset as usize..end as usize])
+        Ok(&region.data[region.span(addr, len)?])
     }
 
     /// Mutably borrow `len` bytes at `addr`.
     pub fn try_read_mut(&mut self, addr: Addr, len: u64) -> Result<&mut [u8], MemError> {
         let region = self.region_mut(addr.node, addr.region)?;
-        let size = region.data.len() as u64;
-        let end = addr.offset.checked_add(len).ok_or(MemError::OutOfBounds {
-            addr,
-            len,
-            region_size: size,
-        })?;
-        if end > size {
-            return Err(MemError::OutOfBounds {
-                addr,
-                len,
-                region_size: size,
-            });
-        }
-        Ok(&mut region.data[addr.offset as usize..end as usize])
+        let span = region.span(addr, len)?;
+        Ok(&mut region.data[span])
+    }
+
+    /// Borrow `len` bytes at `src` and, mutably, `len` bytes at `dst` at
+    /// once. The two must lie in distinct regions ([`same_region`] is
+    /// false); faults are reported for `src` first, as a read followed by
+    /// a write would report them.
+    pub(crate) fn split_mut(
+        &mut self,
+        src: Addr,
+        dst: Addr,
+        len: u64,
+    ) -> Result<(&[u8], &mut [u8]), MemError> {
+        debug_assert!(!same_region(src, dst), "split borrow of one region");
+        let s_span = self.region(src.node, src.region)?.span(src, len)?;
+        let d_span = self.region(dst.node, dst.region)?.span(dst, len)?;
+        let (si, di) = (src.region.0 as usize, dst.region.0 as usize);
+        let (s, d) = if src.node == dst.node {
+            pair_mut(&mut self.nodes[src.node.index()].regions, si, di)
+        } else {
+            let (sn, dn) = pair_mut(&mut self.nodes, src.node.index(), dst.node.index());
+            (&sn.regions[si], &mut dn.regions[di])
+        };
+        Ok((&s.data[s_span], &mut d.data[d_span]))
     }
 
     /// Copy `src` into memory at `addr`.
@@ -200,17 +230,18 @@ impl MemPool {
     /// Copy `len` bytes from `src` to `dst`, possibly across nodes. This is
     /// the primitive beneath RDMA put delivery and local DMA.
     pub fn try_copy(&mut self, src: Addr, dst: Addr, len: u64) -> Result<(), MemError> {
-        // Regions are distinct allocations, so a same-region overlapping copy
-        // is the only aliasing hazard; handle it via a temporary.
-        if src.node == dst.node && src.region == dst.region {
-            let tmp = self.try_read(src, len)?.to_vec();
-            return self.try_write(dst, &tmp);
+        // Regions are distinct allocations, so only a same-region copy can
+        // overlap: it moves bytes with memmove semantics.
+        if same_region(src, dst) {
+            let region = self.region_mut(src.node, src.region)?;
+            let s_span = region.span(src, len)?;
+            let d_span = region.span(dst, len)?;
+            region.data.copy_within(s_span, d_span.start);
+            return Ok(());
         }
-        // Disjoint regions: copy through a scratch to keep the borrow checker
-        // happy without unsafe. `len` here is at most one message, and the
-        // simulator is not bandwidth-bound on host memcpy.
-        let tmp = self.try_read(src, len)?.to_vec();
-        self.try_write(dst, &tmp)
+        let (s, d) = self.split_mut(src, dst, len)?;
+        d.copy_from_slice(s);
+        Ok(())
     }
 
     /// Panicking cross-node copy.

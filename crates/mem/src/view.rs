@@ -7,7 +7,7 @@
 //! little-endian, matching the simulated hosts.
 
 use crate::addr::Addr;
-use crate::pool::{MemError, MemPool};
+use crate::pool::{same_region, MemError, MemPool};
 
 /// Size of an `f32` element in bytes.
 pub const F32_BYTES: u64 = 4;
@@ -36,17 +36,23 @@ impl MemPool {
     }
 
     /// Write a slice of `f32`s starting at `addr`.
+    #[track_caller]
     pub fn write_f32s(&mut self, addr: Addr, vals: &[f32]) {
-        // One pass, one temporary: regions store raw bytes.
-        let mut buf = Vec::with_capacity(vals.len() * F32_BYTES as usize);
-        for v in vals {
-            buf.extend_from_slice(&v.to_le_bytes());
+        let bytes = match self.try_read_mut(addr, vals.len() as u64 * F32_BYTES) {
+            Ok(b) => b,
+            Err(e) => panic!("simulated memory fault: {e}"),
+        };
+        for (c, v) in bytes.chunks_exact_mut(F32_BYTES as usize).zip(vals) {
+            c.copy_from_slice(&v.to_le_bytes());
         }
-        self.write(addr, &buf);
     }
 
     /// Apply `op` elementwise: `dst[i] = op(dst[i], src[i])` for `n` f32
     /// elements. This is the reduction primitive beneath Allreduce.
+    ///
+    /// Within one region, `src` is read from a snapshot taken before the
+    /// first write, so an overlapping `dst` never folds an element it has
+    /// already rewritten.
     pub fn zip_f32s(
         &mut self,
         dst: Addr,
@@ -54,15 +60,13 @@ impl MemPool {
         n: usize,
         op: impl Fn(f32, f32) -> f32,
     ) -> Result<(), MemError> {
-        let s = self.try_read(src, n as u64 * F32_BYTES)?.to_vec();
-        let d = self.try_read_mut(dst, n as u64 * F32_BYTES)?;
-        for (dc, sc) in d
-            .chunks_exact_mut(F32_BYTES as usize)
-            .zip(s.chunks_exact(F32_BYTES as usize))
-        {
-            let dv = f32::from_le_bytes([dc[0], dc[1], dc[2], dc[3]]);
-            let sv = f32::from_le_bytes([sc[0], sc[1], sc[2], sc[3]]);
-            dc.copy_from_slice(&op(dv, sv).to_le_bytes());
+        let len = n as u64 * F32_BYTES;
+        if same_region(src, dst) {
+            let s = self.try_read(src, len)?.to_vec();
+            fold_f32s(self.try_read_mut(dst, len)?, &s, op);
+        } else {
+            let (s, d) = self.split_mut(src, dst, len)?;
+            fold_f32s(d, s, op);
         }
         Ok(())
     }
@@ -84,6 +88,18 @@ impl MemPool {
         let v = self.read_u64(addr).wrapping_add(delta);
         self.write_u64(addr, v);
         v
+    }
+}
+
+/// `dst[i] = op(dst[i], src[i])` over little-endian `f32` bytes.
+fn fold_f32s(dst: &mut [u8], src: &[u8], op: impl Fn(f32, f32) -> f32) {
+    for (dc, sc) in dst
+        .chunks_exact_mut(F32_BYTES as usize)
+        .zip(src.chunks_exact(F32_BYTES as usize))
+    {
+        let dv = f32::from_le_bytes([dc[0], dc[1], dc[2], dc[3]]);
+        let sv = f32::from_le_bytes([sc[0], sc[1], sc[2], sc[3]]);
+        dc.copy_from_slice(&op(dv, sv).to_le_bytes());
     }
 }
 

@@ -8,6 +8,17 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// The SplitMix64 increment (2^64 / φ, odd).
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output mix: a bijection on `u64`.
+#[inline]
+fn splitmix_mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A small, fast, explicitly-seeded RNG.
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -22,16 +33,36 @@ impl SimRng {
         }
     }
 
+    /// The first draw of `SimRng::seeded(key).range_f32(lo, hi)`, computed
+    /// without building the generator: a keyed hash for per-element
+    /// workload inputs, bit-identical to the seeded stream.
+    ///
+    /// Two state words are enough. The first xoshiro256++ output is
+    /// `rotl(s0 + s3, 23) + s0`, and the SplitMix64 seed expansion derives
+    /// `s0` from `key + γ` and `s3` from `key + 4γ`. The all-zero-state
+    /// guard in `SmallRng::seed_from_u64` never fires, so it needs no
+    /// counterpart here: the SplitMix64 mix is a bijection, and its four
+    /// inputs `key + γ … key + 4γ` are distinct (γ is odd), so at most one
+    /// state word can be zero.
+    #[inline]
+    pub fn keyed_f32(key: u64, lo: f32, hi: f32) -> f32 {
+        assert!(lo < hi, "empty range [{lo}, {hi})");
+        let s0 = splitmix_mix(key.wrapping_add(GOLDEN_GAMMA));
+        let s3 = splitmix_mix(key.wrapping_add(GOLDEN_GAMMA.wrapping_mul(4)));
+        let word = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+        // `Rng::gen_range` over f32: 24 high bits to [0, 1), then scale.
+        let unit = (word >> 40) as f32 * (1.0 / (1u64 << 24) as f32);
+        lo + unit * (hi - lo)
+    }
+
     /// Derive an independent child stream, e.g. one per node, so adding a
     /// node does not perturb the streams of existing nodes.
     pub fn fork(&self, stream: u64) -> Self {
         // SplitMix64 finalizer over (base, stream): cheap, well-distributed.
-        let mut z = self
+        let z = self
             .base_seed()
-            .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        SimRng::seeded(z ^ (z >> 31))
+            .wrapping_add(stream.wrapping_mul(GOLDEN_GAMMA));
+        SimRng::seeded(splitmix_mix(z))
     }
 
     fn base_seed(&self) -> u64 {
@@ -112,6 +143,35 @@ mod tests {
         let x = a3.range_u64(0, u64::MAX / 2);
         let y = b.range_u64(0, u64::MAX / 2);
         assert_ne!(x, y);
+    }
+
+    #[test]
+    fn keyed_f32_is_the_first_seeded_draw() {
+        let check = |key: u64| {
+            for (lo, hi) in [(-1.0f32, 1.0f32), (-0.25, 3.5)] {
+                let want = SimRng::seeded(key).range_f32(lo, hi);
+                let got = SimRng::keyed_f32(key, lo, hi);
+                assert_eq!(got.to_bits(), want.to_bits(), "key {key:#x} [{lo}, {hi})");
+            }
+        };
+        for key in [0, 1, u64::MAX, 1 << 63, (1 << 63) - 1] {
+            check(key);
+        }
+        // Keys that zero one SplitMix64 state word (s0 .. s3 in turn).
+        for k in 1..=4u64 {
+            check(0u64.wrapping_sub(GOLDEN_GAMMA.wrapping_mul(k)));
+        }
+        // Workload keys: `seed ^ rank << 40 ^ j` with high rank bits.
+        for rank in [1u64, 31, 1023, (1 << 24) - 1] {
+            for j in [0u64, 1, 1 << 20, (1 << 40) - 1] {
+                check(0xBEEF ^ (rank << 40) ^ j);
+                check(u64::MAX ^ (rank << 40) ^ j);
+            }
+        }
+        let mut keys = SimRng::seeded(0x5EED);
+        for _ in 0..1_000_000 {
+            check(keys.inner.gen());
+        }
     }
 
     #[test]

@@ -490,11 +490,14 @@ pub(crate) fn execute(
                 comp: Addr::base(id, mem.alloc(id, 8, "col.comp")),
                 credit: Addr::base(id, mem.alloc(id, 8, "col.credit")),
             };
+            // The input vector, written straight into `col.vec`.
             let rank = ranks.map_or(node, |m| m[node as usize]);
-            let vals: Vec<f32> = (0..params.elems)
-                .map(|j| input_value(params.seed, rank, j))
-                .collect();
-            mem.write_f32s(b.vec, &vals);
+            let vec = mem
+                .try_read_mut(b.vec, params.elems * 4)
+                .expect("col.vec holds the whole vector");
+            for (j, c) in (0..).zip(vec.chunks_exact_mut(4)) {
+                c.copy_from_slice(&input_value(params.seed, rank, j).to_le_bytes());
+            }
             b
         })
         .collect();

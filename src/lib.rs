@@ -7,7 +7,8 @@
 //!
 //! - [`sim`] — deterministic discrete-event engine
 //! - [`mem`] — simulated coherent memory (GPU scoped memory model)
-//! - [`fabric`] — star-topology 100 Gbps interconnect
+//! - [`fabric`] — 100 Gbps interconnect over star, full-mesh, fat-tree and
+//!   dragonfly topologies
 //! - [`nic`] — Portals-4-style RDMA NIC with the GPU-TN triggered-operation
 //!   hardware extension (the paper's contribution, §3)
 //! - [`gpu`] — GPU device model (front-end scheduler, CUs, kernel-op DSL)
