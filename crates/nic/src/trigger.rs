@@ -18,13 +18,87 @@
 //! entries are **promoted** back in, lowest tag first (deterministic).
 //! Only when the overflow table itself is full does registration fail
 //! with [`TriggerError::CapacityExceeded`].
+//!
+//! Each partition keeps its spilled tags in an ordered queue, boxed on
+//! its first spill, so a promotion pops the lowest tag instead of
+//! scanning the overflow table. Unbounded lookups never spill and never
+//! box one. Both tiers hash tags with a keyed mix (`TagHash`) rather than
+//! SipHash: tags are simulator-chosen integers, not attacker input, and
+//! each list draws random keys, so iteration order stays unpredictable
+//! and any result that leaned on it would fail the determinism gates.
 
 use crate::dynamic::DynFields;
 use crate::lookup::LookupKind;
 use crate::op::{NetOp, Tag};
+use gtn_sim::rng::splitmix_mix;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
+
+/// Keyed tag hash for the trigger list's two tiers: the SplitMix64
+/// finalizer over `(k0 ^ tag) + k1`. The keys come from a fresh
+/// [`RandomState`] (no allocation), and its 16 bytes match
+/// `RandomState`'s, so the maps keep their size.
+#[derive(Debug, Clone, Copy)]
+struct TagHash {
+    k0: u64,
+    k1: u64,
+}
+
+impl TagHash {
+    fn new() -> Self {
+        let keys = RandomState::new();
+        TagHash {
+            k0: keys.hash_one(0u64),
+            k1: keys.hash_one(1u64),
+        }
+    }
+}
+
+impl BuildHasher for TagHash {
+    type Hasher = TagHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> TagHasher {
+        TagHasher {
+            keys: *self,
+            state: 0,
+        }
+    }
+}
+
+/// One [`TagHash`] computation. A `u64` tag is one `write_u64`; other
+/// input folds in eight bytes at a time.
+struct TagHasher {
+    keys: TagHash,
+    state: u64,
+}
+
+impl Hasher for TagHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.state = splitmix_mix((self.keys.k0 ^ self.state ^ x).wrapping_add(self.keys.k1));
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// One partition's spilled tags, lowest first: the promotion order.
+#[derive(Debug, Clone, Default)]
+struct SpillQueue(BTreeSet<u64>);
 
 /// Static partitioning of the trigger list across tenants.
 ///
@@ -185,16 +259,16 @@ pub const DEFAULT_OVERFLOW_CAPACITY: usize = 65_536;
 /// capacity live in the host-memory overflow table (see the module docs).
 #[derive(Debug)]
 pub struct TriggerList {
-    entries: HashMap<u64, TriggerEntry>,
+    entries: HashMap<u64, TriggerEntry, TagHash>,
     /// Host-memory spill table: same semantics, slower matches.
-    overflow: HashMap<u64, TriggerEntry>,
+    overflow: HashMap<u64, TriggerEntry, TagHash>,
     overflow_capacity: usize,
     kind: LookupKind,
     parts: TriggerPartitions,
     /// CAM-resident entries per partition (indexes `0..parts.partitions`).
     cam_counts: Vec<usize>,
-    /// Overflow-resident entries per partition.
-    overflow_counts: Vec<usize>,
+    /// Overflow-resident tags per partition; `None` until its first spill.
+    spill_queues: Vec<Option<Box<SpillQueue>>>,
     fired_total: u64,
     early_allocations: u64,
     spills: u64,
@@ -228,14 +302,15 @@ impl TriggerList {
     ) -> Self {
         assert!(parts.partitions >= 1, "trigger partitions must be >= 1");
         let n = parts.partitions as usize;
+        let hash = TagHash::new();
         TriggerList {
-            entries: HashMap::new(),
-            overflow: HashMap::new(),
+            entries: HashMap::with_hasher(hash),
+            overflow: HashMap::with_hasher(hash),
             overflow_capacity,
             kind,
             parts,
             cam_counts: vec![0; n],
-            overflow_counts: vec![0; n],
+            spill_queues: vec![None; n],
             fired_total: 0,
             early_allocations: 0,
             spills: 0,
@@ -325,7 +400,10 @@ impl TriggerList {
 
     /// Active entries (CAM + overflow) currently held by partition `p`.
     pub fn active_in_partition(&self, p: u32) -> usize {
-        self.cam_counts[p as usize] + self.overflow_counts[p as usize]
+        let spilled = self.spill_queues[p as usize]
+            .as_ref()
+            .map_or(0, |q| q.0.len());
+        self.cam_counts[p as usize] + spilled
     }
 
     fn cam_full_in(&self, p: u32) -> bool {
@@ -372,11 +450,10 @@ impl TriggerList {
     }
 
     fn entry_mut(&mut self, tag: Tag) -> Option<&mut TriggerEntry> {
-        if self.entries.contains_key(&tag.0) {
-            self.entries.get_mut(&tag.0)
-        } else {
-            self.overflow.get_mut(&tag.0)
-        }
+        let TriggerList {
+            entries, overflow, ..
+        } = self;
+        entries.get_mut(&tag.0).or_else(|| overflow.get_mut(&tag.0))
     }
 
     /// Place a brand-new entry in its tag's partition: admission check
@@ -402,7 +479,10 @@ impl TriggerList {
         if self.overflow.len() < self.overflow_capacity {
             self.spills += 1;
             self.overflow.insert(tag.0, entry);
-            self.overflow_counts[p as usize] += 1;
+            self.spill_queues[p as usize]
+                .get_or_insert_with(Box::default)
+                .0
+                .insert(tag.0);
             return Ok(());
         }
         self.rejected_capacity += 1;
@@ -416,17 +496,16 @@ impl TriggerList {
     /// partition's overflow entries back into the fast tier, lowest tag
     /// first (deterministic order).
     fn promote_in(&mut self, p: u32) {
-        while !self.cam_full_in(p) && self.overflow_counts[p as usize] > 0 {
-            let tag = self
-                .overflow
-                .keys()
-                .copied()
-                .filter(|&t| self.partition_of(Tag(t)) == p)
-                .min()
-                .expect("partition overflow count is non-zero");
-            let e = self.overflow.remove(&tag).expect("key just found");
+        let cap = self.cam_capacity_of(p);
+        let Some(queue) = self.spill_queues[p as usize].as_deref_mut() else {
+            return;
+        };
+        while self.cam_counts[p as usize] < cap {
+            let Some(tag) = queue.0.pop_first() else {
+                break;
+            };
+            let e = self.overflow.remove(&tag).expect("queued tag is spilled");
             self.entries.insert(tag, e);
-            self.overflow_counts[p as usize] -= 1;
             self.cam_counts[p as usize] += 1;
             self.promotions += 1;
         }
@@ -543,7 +622,10 @@ impl TriggerList {
             e
         } else {
             let e = self.overflow.remove(&tag.0).expect("ready entry exists");
-            self.overflow_counts[p as usize] -= 1;
+            let queued = self.spill_queues[p as usize]
+                .as_deref_mut()
+                .is_some_and(|q| q.0.remove(&tag.0));
+            debug_assert!(queued, "spilled {tag} missing from its queue");
             e
         };
         self.fired_total += 1;
@@ -884,6 +966,58 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    /// Fullest of `2^12` buckets over `tags`, indexed by the hash's low
+    /// bits (the table's slot) and by its top bits (the control byte).
+    fn fullest_buckets(hash: &TagHash, tags: impl Iterator<Item = u64>) -> (usize, usize) {
+        let (mut low, mut high) = (vec![0usize; 1 << 12], vec![0usize; 1 << 12]);
+        for t in tags {
+            let h = hash.hash_one(t);
+            low[(h & 0xFFF) as usize] += 1;
+            high[(h >> 52) as usize] += 1;
+        }
+        (
+            low.into_iter().max().unwrap(),
+            high.into_iter().max().unwrap(),
+        )
+    }
+
+    #[test]
+    fn tag_hash_spreads_serving_and_collective_tags() {
+        // 2^16 tags over 2^12 buckets: a mean of 16 per bucket.
+        let hash = TagHash::new();
+        let seqs = 0..1u64 << 16;
+        for (name, (low, high)) in [
+            // Serving: `seq * partitions + p`, one tenant partition...
+            (
+                "serving, one partition",
+                fullest_buckets(&hash, seqs.clone().map(|seq| seq * 16)),
+            ),
+            // ...or all sixteen in turn.
+            (
+                "serving, 16 partitions",
+                fullest_buckets(&hash, seqs.clone().map(|seq| seq * 16 + seq % 16)),
+            ),
+            // The collective executor numbers a rank's tags from zero.
+            ("collective", fullest_buckets(&hash, seqs.clone())),
+        ] {
+            assert!(low <= 48 && high <= 48, "{name}: fullest {low}/{high}");
+        }
+    }
+
+    #[test]
+    fn tag_hashes_built_in_turn_get_different_keys() {
+        let (a, b) = (TagHash::new(), TagHash::new());
+        assert_ne!((a.k0, a.k1), (b.k0, b.k1));
+        assert_ne!(a.hash_one(7u64), b.hash_one(7u64));
+        // Same footprint as the default hasher, so no map or NIC grows.
+        use std::mem::size_of;
+        assert_eq!(size_of::<TagHash>(), size_of::<RandomState>());
+        assert_eq!(
+            size_of::<HashMap<u64, TriggerEntry, TagHash>>(),
+            size_of::<HashMap<u64, TriggerEntry>>()
+        );
     }
 
     #[test]

@@ -2,12 +2,19 @@
 //! interleaving of CPU posts and GPU trigger writes, each registered
 //! operation fires exactly once, exactly when its counter first reaches the
 //! threshold — the core correctness claim of the GPU-TN NIC extension.
+//!
+//! The last property pins the spill and promotion contract of a
+//! partitioned CAM against [`ScanModel`], the earlier implementation kept
+//! verbatim: which spilled entry promotes, and every counter and
+//! occupancy the NIC and the serving workload read.
 
 use gtn_mem::{Addr, NodeId, RegionId};
+use gtn_nic::dynamic::DynFields;
 use gtn_nic::lookup::LookupKind;
 use gtn_nic::op::{NetOp, Tag};
-use gtn_nic::trigger::TriggerList;
+use gtn_nic::trigger::{Fired, TriggerEntry, TriggerError, TriggerList, TriggerPartitions};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn dummy_put() -> NetOp {
     NetOp::Put {
@@ -187,5 +194,373 @@ proptest! {
             prop_assert!(list.spills() > 0, "pressure without spills");
         }
         prop_assert_eq!(list.rejections().0, 0, "no capacity rejection may surface");
+    }
+}
+
+/// The trigger list as it was before per-partition spill queues: two
+/// SipHash maps, a spill count per partition, a two-lookup `entry_mut`,
+/// and a promotion that scans the whole overflow table for the
+/// partition's lowest tag. The matching and spill logic is kept verbatim.
+struct ScanModel {
+    entries: HashMap<u64, TriggerEntry>,
+    overflow: HashMap<u64, TriggerEntry>,
+    overflow_capacity: usize,
+    kind: LookupKind,
+    parts: TriggerPartitions,
+    cam_counts: Vec<usize>,
+    overflow_counts: Vec<usize>,
+    fired_total: u64,
+    early_allocations: u64,
+    spills: u64,
+    promotions: u64,
+    shed: u64,
+    rejected_capacity: u64,
+    rejected_duplicate: u64,
+    rejected_zero_threshold: u64,
+}
+
+fn ready(e: &TriggerEntry) -> bool {
+    match (e.threshold, &e.op) {
+        (Some(t), Some(_)) => e.counter >= t,
+        _ => false,
+    }
+}
+
+impl ScanModel {
+    fn with_partitions(
+        kind: LookupKind,
+        overflow_capacity: usize,
+        parts: TriggerPartitions,
+    ) -> Self {
+        let n = parts.partitions as usize;
+        ScanModel {
+            entries: HashMap::new(),
+            overflow: HashMap::new(),
+            overflow_capacity,
+            kind,
+            parts,
+            cam_counts: vec![0; n],
+            overflow_counts: vec![0; n],
+            fired_total: 0,
+            early_allocations: 0,
+            spills: 0,
+            promotions: 0,
+            shed: 0,
+            rejected_capacity: 0,
+            rejected_duplicate: 0,
+            rejected_zero_threshold: 0,
+        }
+    }
+
+    fn resolves_to_overflow(&self, tag: Tag) -> bool {
+        if self.entries.contains_key(&tag.0) {
+            return false;
+        }
+        self.overflow.contains_key(&tag.0) || self.cam_full_in(self.partition_of(tag))
+    }
+
+    fn partition_of(&self, tag: Tag) -> u32 {
+        (tag.0 % u64::from(self.parts.partitions)) as u32
+    }
+
+    fn cam_capacity_of(&self, p: u32) -> usize {
+        match self.kind.capacity() {
+            None => usize::MAX,
+            Some(ways) => {
+                let n = self.parts.partitions as usize;
+                ways / n + usize::from((p as usize) < ways % n)
+            }
+        }
+    }
+
+    fn active_in_partition(&self, p: u32) -> usize {
+        self.cam_counts[p as usize] + self.overflow_counts[p as usize]
+    }
+
+    fn cam_full_in(&self, p: u32) -> bool {
+        self.cam_counts[p as usize] >= self.cam_capacity_of(p)
+    }
+
+    fn pending_entries(&self) -> Vec<(Tag, u64, Option<u64>, bool)> {
+        let mut v: Vec<_> = self
+            .entries
+            .values()
+            .chain(self.overflow.values())
+            .map(|e| (e.tag, e.counter, e.threshold, e.op.is_some()))
+            .collect();
+        v.sort_unstable_by_key(|&(tag, ..)| tag.0);
+        v
+    }
+
+    fn entry_mut(&mut self, tag: Tag) -> Option<&mut TriggerEntry> {
+        if self.entries.contains_key(&tag.0) {
+            self.entries.get_mut(&tag.0)
+        } else {
+            self.overflow.get_mut(&tag.0)
+        }
+    }
+
+    fn insert_new(&mut self, tag: Tag, entry: TriggerEntry) -> Result<(), TriggerError> {
+        let p = self.partition_of(tag);
+        if let Some(depth) = self.parts.depth {
+            if self.active_in_partition(p) as u64 >= depth {
+                self.shed += 1;
+                return Err(TriggerError::AdmissionShed {
+                    tag,
+                    partition: p,
+                    depth,
+                });
+            }
+        }
+        if !self.cam_full_in(p) {
+            self.entries.insert(tag.0, entry);
+            self.cam_counts[p as usize] += 1;
+            return Ok(());
+        }
+        if self.overflow.len() < self.overflow_capacity {
+            self.spills += 1;
+            self.overflow.insert(tag.0, entry);
+            self.overflow_counts[p as usize] += 1;
+            return Ok(());
+        }
+        self.rejected_capacity += 1;
+        Err(TriggerError::CapacityExceeded {
+            capacity: self.kind.capacity().unwrap_or(0) + self.overflow_capacity,
+            tag,
+        })
+    }
+
+    fn promote_in(&mut self, p: u32) {
+        while !self.cam_full_in(p) && self.overflow_counts[p as usize] > 0 {
+            let tag = self
+                .overflow
+                .keys()
+                .copied()
+                .filter(|&t| self.partition_of(Tag(t)) == p)
+                .min()
+                .expect("partition overflow count is non-zero");
+            let e = self.overflow.remove(&tag).expect("key just found");
+            self.entries.insert(tag, e);
+            self.overflow_counts[p as usize] -= 1;
+            self.cam_counts[p as usize] += 1;
+            self.promotions += 1;
+        }
+    }
+
+    fn register(
+        &mut self,
+        tag: Tag,
+        op: NetOp,
+        threshold: u64,
+    ) -> Result<Option<Fired>, TriggerError> {
+        if threshold == 0 {
+            self.rejected_zero_threshold += 1;
+            return Err(TriggerError::ZeroThreshold(tag));
+        }
+        match self.entry_mut(tag) {
+            Some(e) if e.op.is_some() => {
+                self.rejected_duplicate += 1;
+                Err(TriggerError::DuplicateTag(tag))
+            }
+            Some(e) => {
+                e.threshold = Some(threshold);
+                e.op = Some(op);
+                if ready(e) {
+                    let fired = self.take_fired(tag);
+                    Ok(Some(fired))
+                } else {
+                    Ok(None)
+                }
+            }
+            None => {
+                self.insert_new(
+                    tag,
+                    TriggerEntry {
+                        tag,
+                        counter: 0,
+                        threshold: Some(threshold),
+                        op: Some(op),
+                        overrides: DynFields::NONE,
+                    },
+                )?;
+                Ok(None)
+            }
+        }
+    }
+
+    fn trigger_dyn(&mut self, tag: Tag, fields: DynFields) -> Result<Option<Fired>, TriggerError> {
+        match self.entry_mut(tag) {
+            Some(e) => {
+                e.counter += 1;
+                e.overrides.merge(fields);
+                if ready(e) {
+                    Ok(Some(self.take_fired(tag)))
+                } else {
+                    Ok(None)
+                }
+            }
+            None => {
+                self.insert_new(
+                    tag,
+                    TriggerEntry {
+                        tag,
+                        counter: 1,
+                        threshold: None,
+                        op: None,
+                        overrides: fields,
+                    },
+                )?;
+                self.early_allocations += 1;
+                Ok(None)
+            }
+        }
+    }
+
+    fn take_fired(&mut self, tag: Tag) -> Fired {
+        let p = self.partition_of(tag);
+        let e = if let Some(e) = self.entries.remove(&tag.0) {
+            self.cam_counts[p as usize] -= 1;
+            self.promote_in(p);
+            e
+        } else {
+            let e = self.overflow.remove(&tag.0).expect("ready entry exists");
+            self.overflow_counts[p as usize] -= 1;
+            e
+        };
+        self.fired_total += 1;
+        let mut op = e.op.expect("ready entry has op");
+        e.overrides.apply(&mut op);
+        Fired {
+            tag,
+            counter: e.counter,
+            op,
+        }
+    }
+}
+
+/// Tags in play for the spill property: enough per partition that a
+/// small CAM share spills several entries at once.
+const SPILL_TAGS: u64 = 14;
+
+/// One step of a spill script.
+#[derive(Debug, Clone)]
+enum SpillStep {
+    /// CPU posts (tag, threshold); threshold 0 exercises the rejection.
+    Register(u64, u64),
+    /// A plain GPU tag write.
+    Trigger(u64),
+    /// A dynamic tag write overriding the payload length.
+    TriggerDyn(u64, u64),
+}
+
+fn spill_steps() -> impl Strategy<Value = Vec<SpillStep>> {
+    let step = prop_oneof![
+        (0..SPILL_TAGS, 0u64..4).prop_map(|(t, th)| SpillStep::Register(t, th)),
+        (0..SPILL_TAGS).prop_map(SpillStep::Trigger),
+        (0..SPILL_TAGS, 1u64..512).prop_map(|(t, len)| SpillStep::TriggerDyn(t, len)),
+    ];
+    prop::collection::vec(step, 1..160)
+}
+
+/// Everything observable about a list after one step, in comparable form.
+type Observed = (
+    Vec<bool>,
+    usize,
+    usize,
+    Vec<usize>,
+    (u64, u64, u64, u64, u64),
+    Vec<(Tag, u64, Option<u64>, bool)>,
+);
+
+fn observe_list(l: &TriggerList, partitions: u32) -> Observed {
+    (
+        (0..SPILL_TAGS)
+            .map(|t| l.resolves_to_overflow(Tag(t)))
+            .collect(),
+        l.cam_len(),
+        l.overflow_len(),
+        (0..partitions).map(|p| l.active_in_partition(p)).collect(),
+        (
+            l.spills(),
+            l.promotions(),
+            l.admission_shed(),
+            l.fired_total(),
+            l.early_allocations(),
+        ),
+        l.pending_entries(),
+    )
+}
+
+fn observe_model(m: &ScanModel, partitions: u32) -> Observed {
+    (
+        (0..SPILL_TAGS)
+            .map(|t| m.resolves_to_overflow(Tag(t)))
+            .collect(),
+        m.entries.len(),
+        m.overflow.len(),
+        (0..partitions).map(|p| m.active_in_partition(p)).collect(),
+        (
+            m.spills,
+            m.promotions,
+            m.shed,
+            m.fired_total,
+            m.early_allocations,
+        ),
+        m.pending_entries(),
+    )
+}
+
+proptest! {
+    /// A partitioned, spilling CAM behaves exactly like the scanning
+    /// model after every step of any script: the same fire log (tag,
+    /// counter, patched op) and errors, the same tags resolving to the
+    /// overflow table (so the same entry promoted), the same occupancy
+    /// per tier and partition, and the same counters and pending entries.
+    #[test]
+    fn spill_queues_match_the_scanning_model(
+        script in spill_steps(),
+        partitions in 1u32..5,
+        ways in 0u32..5,
+        depth in 0u64..4,
+        overflow_capacity in 1usize..16,
+    ) {
+        let kind = LookupKind::Associative { ways };
+        let parts = TriggerPartitions {
+            partitions,
+            depth: if depth == 0 { None } else { Some(depth) },
+        };
+        let mut list = TriggerList::with_partitions(kind, overflow_capacity, parts);
+        let mut model = ScanModel::with_partitions(kind, overflow_capacity, parts);
+        for (i, step) in script.iter().enumerate() {
+            let (got, want) = match *step {
+                SpillStep::Register(t, th) => (
+                    list.register(Tag(t), dummy_put(), th),
+                    model.register(Tag(t), dummy_put(), th),
+                ),
+                SpillStep::Trigger(t) => (
+                    list.trigger(Tag(t)),
+                    model.trigger_dyn(Tag(t), DynFields::NONE),
+                ),
+                SpillStep::TriggerDyn(t, len) => {
+                    let fields = DynFields {
+                        len: Some(len),
+                        ..DynFields::NONE
+                    };
+                    (list.trigger_dyn(Tag(t), fields), model.trigger_dyn(Tag(t), fields))
+                }
+            };
+            prop_assert_eq!(&got, &want, "step {}: {:?}", i, step);
+            prop_assert_eq!(
+                observe_list(&list, partitions),
+                observe_model(&model, partitions),
+                "state after step {}: {:?}",
+                i,
+                step
+            );
+        }
+        prop_assert_eq!(
+            list.rejections(),
+            (model.rejected_capacity, model.rejected_duplicate, model.rejected_zero_threshold)
+        );
     }
 }

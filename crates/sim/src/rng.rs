@@ -11,9 +11,11 @@ use rand::{Rng, SeedableRng};
 /// The SplitMix64 increment (2^64 / φ, odd).
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The SplitMix64 output mix: a bijection on `u64`.
+/// The SplitMix64 output mix: a bijection on `u64` whose every output bit
+/// depends on every input bit. It expands seeds here and hashes the NIC
+/// trigger list's keyed tags.
 #[inline]
-fn splitmix_mix(mut z: u64) -> u64 {
+pub fn splitmix_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -4,7 +4,8 @@
 //! latencies (Fig. 8's decomposition, the launch-latency study of Fig. 1),
 //! so the histogram keeps exact samples up to a bound and switches to
 //! reservoir sampling beyond it — percentile error stays negligible at the
-//! sample counts these experiments produce.
+//! sample counts these experiments produce. A stream whose percentiles
+//! nobody reads keeps only its exact aggregates in a [`DurationSummary`].
 
 use crate::rng::SimRng;
 use crate::time::SimDuration;
@@ -33,15 +34,85 @@ impl Counter {
     }
 }
 
-/// Exact-then-reservoir sample set over durations.
-#[derive(Debug, Clone)]
-pub struct DurationHistogram {
-    samples: Vec<SimDuration>,
-    /// Total observations, including those not retained.
+/// Exact aggregates of a duration stream: count, sum, min and max, in
+/// constant memory. Mean, min and max read as zero while it is empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DurationSummary {
     count: u64,
     sum_ps: u128,
     min: SimDuration,
     max: SimDuration,
+}
+
+impl DurationSummary {
+    /// No observations yet.
+    pub const fn new() -> Self {
+        DurationSummary {
+            count: 0,
+            sum_ps: 0,
+            min: SimDuration::from_ps(u64::MAX),
+            max: SimDuration::ZERO,
+        }
+    }
+
+    /// Record one observation.
+    #[inline]
+    pub fn record(&mut self, d: SimDuration) {
+        self.count += 1;
+        self.sum_ps += d.as_ps() as u128;
+        self.min = self.min.min(d);
+        self.max = self.max.max(d);
+    }
+
+    /// Fold another summary into this one, exactly.
+    pub fn merge(&mut self, other: &DurationSummary) {
+        self.count += other.count;
+        self.sum_ps += other.sum_ps;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Arithmetic mean (truncated to whole picoseconds), or zero if empty.
+    pub fn mean(&self) -> SimDuration {
+        if self.count == 0 {
+            return SimDuration::ZERO;
+        }
+        SimDuration::from_ps((self.sum_ps / self.count as u128) as u64)
+    }
+
+    /// Smallest observation, or zero if empty.
+    pub fn min(&self) -> SimDuration {
+        if self.count == 0 {
+            SimDuration::ZERO
+        } else {
+            self.min
+        }
+    }
+
+    /// Largest observation, or zero if empty.
+    pub fn max(&self) -> SimDuration {
+        self.max
+    }
+}
+
+impl Default for DurationSummary {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Exact-then-reservoir sample set over durations.
+#[derive(Debug, Clone)]
+pub struct DurationHistogram {
+    samples: Vec<SimDuration>,
+    /// Exact aggregates over every observation, including those not
+    /// retained.
+    summary: DurationSummary,
     cap: usize,
     rng: SimRng,
     /// Sorted view of `samples`, rebuilt lazily on the first percentile
@@ -64,10 +135,7 @@ impl DurationHistogram {
         assert!(cap > 0, "histogram capacity must be positive");
         DurationHistogram {
             samples: Vec::new(),
-            count: 0,
-            sum_ps: 0,
-            min: SimDuration::from_ps(u64::MAX),
-            max: SimDuration::ZERO,
+            summary: DurationSummary::new(),
             cap,
             rng: SimRng::seeded(0xDEC0DE),
             sorted: RefCell::new(None),
@@ -76,10 +144,7 @@ impl DurationHistogram {
 
     /// Record one observation.
     pub fn record(&mut self, d: SimDuration) {
-        self.count += 1;
-        self.sum_ps += d.as_ps() as u128;
-        self.min = self.min.min(d);
-        self.max = self.max.max(d);
+        self.summary.record(d);
         self.retain_sample(d);
         *self.sorted.borrow_mut() = None;
     }
@@ -90,25 +155,22 @@ impl DurationHistogram {
         if self.samples.len() < self.cap {
             self.samples.push(d);
         } else {
-            let j = self.rng.range_u64(0, self.count) as usize;
+            let j = self.rng.range_u64(0, self.summary.count) as usize;
             if j < self.cap {
                 self.samples[j] = d;
             }
         }
     }
 
-    /// Merge another histogram into this one. `count`, `sum_ps`, `min`,
-    /// and `max` are combined exactly from the source's aggregates — the
-    /// reservoir is only consulted for percentile samples, so the merge
-    /// stays correct even when `other` evicted samples past its cap.
+    /// Merge another histogram into this one. The exact aggregates are
+    /// combined from the source's summary — the reservoir is only
+    /// consulted for percentile samples, so the merge stays correct even
+    /// when `other` evicted samples past its cap.
     pub fn merge(&mut self, other: &DurationHistogram) {
-        if other.count == 0 {
+        if other.summary.count == 0 {
             return;
         }
-        self.count += other.count;
-        self.sum_ps += other.sum_ps;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.summary.merge(&other.summary);
         for i in 0..other.samples.len() {
             self.retain_sample(other.samples[i]);
         }
@@ -117,29 +179,22 @@ impl DurationHistogram {
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.count
+        self.summary.count()
     }
 
     /// Arithmetic mean, or zero if empty.
     pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_ps((self.sum_ps / self.count as u128) as u64)
+        self.summary.mean()
     }
 
     /// Smallest observation, or zero if empty.
     pub fn min(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            self.min
-        }
+        self.summary.min()
     }
 
     /// Largest observation.
     pub fn max(&self) -> SimDuration {
-        self.max
+        self.summary.max()
     }
 
     /// Percentile in `[0, 100]` over retained samples (nearest-rank). The
@@ -177,7 +232,7 @@ impl fmt::Display for DurationHistogram {
         write!(
             f,
             "n={} min={} mean={} p50={} p99={} max={}",
-            self.count,
+            self.count(),
             self.min(),
             self.mean(),
             self.percentile(50.0),
@@ -362,6 +417,83 @@ mod tests {
         assert_eq!(h.percentile(100.0), SimDuration::from_ns(60));
         // Nearest-rank over 6 samples: rank round(0.5 * 5) = 3 -> 40 ns.
         assert_eq!(h.median(), SimDuration::from_ns(40));
+    }
+
+    #[test]
+    fn summary_matches_the_histogram_aggregates() {
+        let agg = |count, mean, min, max| (count, mean, min, max);
+        let mut summary = DurationSummary::new();
+        let mut hist = DurationHistogram::new();
+        // Empty: everything reads zero.
+        assert_eq!(
+            agg(
+                summary.count(),
+                summary.mean(),
+                summary.min(),
+                summary.max()
+            ),
+            agg(0, SimDuration::ZERO, SimDuration::ZERO, SimDuration::ZERO)
+        );
+        assert_eq!(
+            agg(
+                summary.count(),
+                summary.mean(),
+                summary.min(),
+                summary.max()
+            ),
+            agg(hist.count(), hist.mean(), hist.min(), hist.max())
+        );
+        // Well past the reservoir cap, with a non-integral mean.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..DurationHistogram::DEFAULT_CAP + 34_465 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let d = SimDuration::from_ps(x % 1_000_000_007);
+            summary.record(d);
+            hist.record(d);
+        }
+        assert_eq!(summary.count(), 100_001);
+        assert_eq!(
+            agg(
+                summary.count(),
+                summary.mean(),
+                summary.min(),
+                summary.max()
+            ),
+            agg(hist.count(), hist.mean(), hist.min(), hist.max())
+        );
+        // Merging splits of the stream gives the same aggregates.
+        let mut halves = [DurationSummary::default(); 2];
+        for (i, ps) in (1..=1_001u64).enumerate() {
+            halves[i % 2].record(SimDuration::from_ps(ps));
+        }
+        let [mut a, b] = halves;
+        a.merge(&b);
+        assert_eq!(a.count(), 1_001);
+        assert_eq!(a.mean(), SimDuration::from_ps(501));
+        assert_eq!((a.min().as_ps(), a.max().as_ps()), (1, 1_001));
+    }
+
+    #[test]
+    fn embedding_the_summary_keeps_the_histogram_size() {
+        // Every cell's `StatSet` B-tree nodes hold histograms, so their
+        // size is an allocation size. This is the pre-summary layout.
+        #[allow(dead_code)]
+        struct Flat {
+            samples: Vec<SimDuration>,
+            count: u64,
+            sum_ps: u128,
+            min: SimDuration,
+            max: SimDuration,
+            cap: usize,
+            rng: SimRng,
+            sorted: RefCell<Option<Vec<SimDuration>>>,
+        }
+        assert_eq!(
+            std::mem::size_of::<DurationHistogram>(),
+            std::mem::size_of::<Flat>()
+        );
     }
 
     #[test]

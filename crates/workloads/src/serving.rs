@@ -26,6 +26,11 @@
 //! host-memory spill surcharges, and per-tenant partition bounds shape
 //! the tail exactly as the NIC model defines them.
 //!
+//! The report keeps a reservoir [`DurationHistogram`] only for sojourn,
+//! whose p50/p99/p99.9 are the SLO; the queue-wait and service stages
+//! keep exact [`DurationSummary`] aggregates, because only their counts
+//! and means are read.
+//!
 //! Overload is shed, never a panic, at two levels: a global bounded
 //! queue ([`gtn_core::tenancy::Admission`], the admission-control knob)
 //! and the NIC's per-partition depth
@@ -56,7 +61,7 @@ use gtn_nic::lookup::LookupKind;
 use gtn_nic::trigger::DEFAULT_OVERFLOW_CAPACITY;
 use gtn_nic::{NetOp, NicConfig, TriggerError, TriggerList, TriggerPartitions};
 use gtn_sim::rng::SimRng;
-use gtn_sim::stats::{DurationHistogram, StatSet};
+use gtn_sim::stats::{DurationHistogram, DurationSummary, StatSet};
 use gtn_sim::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -333,12 +338,13 @@ pub struct ServingReport {
     /// Completed jobs per second of makespan — the goodput the SLO curve
     /// plots against offered load.
     pub goodput_jps: u64,
-    /// Sojourn (arrival → completion) latency distribution.
+    /// Sojourn (arrival → completion) latency distribution; the only
+    /// stage whose percentiles are reported.
     pub sojourn: DurationHistogram,
-    /// Queue-wait stage distribution.
-    pub queue_wait: DurationHistogram,
-    /// Service stage distribution.
-    pub service: DurationHistogram,
+    /// Queue-wait stage: exact count, mean, min and max.
+    pub queue_wait: DurationSummary,
+    /// Service stage: exact count, mean, min and max.
+    pub service: DurationSummary,
     /// Serving counters plus both calibration runs' component stats
     /// (namespaced `serving`, `calib_rpc.*`, `calib_coll.*`).
     pub stats: ClusterStats,
@@ -446,8 +452,8 @@ pub fn try_run(params: &ServingParams) -> Result<ServingReport, JobFailure> {
     let mut shed_queue = 0u64;
     let mut shed_nic = 0u64;
     let mut sojourn = DurationHistogram::default();
-    let mut queue_wait = DurationHistogram::default();
-    let mut service_hist = DurationHistogram::default();
+    let mut queue_wait = DurationSummary::new();
+    let mut service = DurationSummary::new();
 
     // Multi-server FIFO queueing core, integer picoseconds throughout.
     // `busy` orders in-service jobs by (completion, arrival index) so
@@ -486,7 +492,7 @@ pub fn try_run(params: &ServingParams) -> Result<ServingReport, JobFailure> {
             let arrival_ps = job.at_ns * 1_000;
             fails[idx] = job.fail < fail_prob;
             queue_wait.record(SimDuration::from_ps(now_ps - arrival_ps));
-            service_hist.record(SimDuration::from_ps(service_ps));
+            service.record(SimDuration::from_ps(service_ps));
             idle -= 1;
             busy.push(Reverse((now_ps + service_ps, idx)));
         }};
@@ -581,7 +587,7 @@ pub fn try_run(params: &ServingParams) -> Result<ServingReport, JobFailure> {
         goodput_jps,
         sojourn,
         queue_wait,
-        service: service_hist,
+        service,
         stats,
     })
 }

@@ -13,8 +13,8 @@
 //!    nothing.
 //! 4. **Replay under loss** — with seeded packet loss on the calibration
 //!    runs, rerunning the same parameters reproduces the full serving
-//!    report (counters, tail percentiles, histograms, calibration stats)
-//!    bit for bit. The thread-axis twin of this property lives in
+//!    report (counters, tail percentiles, stage summaries, calibration
+//!    stats) bit for bit. The thread-axis twin of this property lives in
 //!    `gtn-bench`'s sweep tests, next to the runner it exercises.
 
 use gtn_core::scenario::ConfigPatch;
@@ -44,7 +44,8 @@ fn fingerprint(r: &ServingReport) -> String {
         "offered={} completed={} shed_queue={} shed_nic={} failed={} \
          peak={} spills={} promotions={} makespan={} goodput={} \
          p50={} p99={} p999={} \
-         sojourn=({},{:?},{:?},{:?}) wait=({},{:?}) service=({},{:?}) \
+         sojourn=({},{:?},{:?},{:?}) wait=({},{:?},{:?},{:?}) \
+         service=({},{:?},{:?},{:?}) \
          model=({},{}) stats={:?}",
         r.offered,
         r.completed,
@@ -65,8 +66,12 @@ fn fingerprint(r: &ServingReport) -> String {
         r.sojourn.max(),
         r.queue_wait.count(),
         r.queue_wait.mean(),
+        r.queue_wait.min(),
+        r.queue_wait.max(),
         r.service.count(),
         r.service.mean(),
+        r.service.min(),
+        r.service.max(),
         r.model.rpc_ps,
         r.model.coll_ps,
         r.stats,
