@@ -5,7 +5,8 @@
 //! bench_compare golden <golden> <actual>  # reports bit-identical to goldens
 //! bench_compare diff <golden> <actual>    # two files or two dirs, naming
 //!                                         # the fields that drifted
-//! bench_compare perf <floor> <actual>     # events/sec at or above the floor
+//! bench_compare ceilings <file> <dir>     # traced benchmark runs at or
+//!                                         # under their layer ceilings
 //! ```
 //!
 //! `golden` walks the *golden* dir's manifest (baseline coverage must not
@@ -24,7 +25,7 @@ use std::path::Path;
 const USAGE: &str = "usage: bench_compare manifest <dir>
        bench_compare golden <golden_dir> <actual_dir>
        bench_compare diff <golden_dir_or_file> <actual_dir_or_file>
-       bench_compare perf <floor_file> <actual_file>";
+       bench_compare ceilings <ceilings_file> <runs_dir>";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,8 +36,8 @@ fn main() {
         (Some("golden"), 3) => compare::diff_against_golden(arg(1), arg(2))
             .map(|n| format!("golden ok: {n} reports bit-identical to baselines")),
         (Some("diff"), 3) => compare::diff_paths(arg(1), arg(2)),
-        (Some("perf"), 3) => compare::check_perf_floor(arg(1), arg(2))
-            .map(|n| format!("perf ok: {n} rows at or above the recorded floor")),
+        (Some("ceilings"), 3) => compare::check_ceilings(arg(1), arg(2))
+            .map(|n| format!("ceilings ok: {n} layer timings at or under their ceilings")),
         _ => Err(USAGE.to_owned()),
     };
     match outcome {

@@ -12,10 +12,12 @@
 //!   carry only simulated quantities (integer picoseconds and counts), so
 //!   any drift — not just large drift — is a regression or an intentional
 //!   model change that must re-record the baselines.
-//! - [`check_perf_floor`]: the wall-clock `sim_engine_perf` report stays
-//!   at or above a recorded events/sec floor. The floor is set ~10x below
-//!   measured throughput so runner noise never trips it; an O(n log n) →
-//!   O(n^2) style regression still does.
+//! - [`check_ceilings`]: the simulator's per-layer host timings, read
+//!   from the result lines of the benchmark's traced full-size run
+//!   (`benchmark --workload W --trace 1`), stay at or below the recorded
+//!   ceilings, and every cell of each run completed and verified. The
+//!   ceilings sit at 3x the reference box's median, so runner noise does
+//!   not trip them; a complexity-class slowdown of the calendar does.
 //!
 //! When a comparison fails, [`field_diffs`] parses both reports with the
 //! built-in mini JSON reader and names the exact leaf fields that moved
@@ -24,32 +26,16 @@
 //! one that just announces it. [`diff_paths`] wraps the same machinery as
 //! a standalone gate over files or whole report dirs.
 
-use crate::report;
+use crate::report::{self, Json};
 use std::fs;
 use std::path::Path;
 
-/// A parsed JSON value from a bench report. Reports are written by
-/// [`report::Json`] and only ever contain unsigned integers, booleans,
-/// strings, arrays, and objects; anything else (floats, nulls — e.g. a
-/// Chrome trace from another tool) fails to parse and the caller falls
-/// back to byte comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JVal {
-    /// Unsigned integer.
-    U64(u64),
-    /// Boolean.
-    Bool(bool),
-    /// String (escapes decoded).
-    Str(String),
-    /// Array.
-    Arr(Vec<JVal>),
-    /// Object, field order preserved.
-    Obj(Vec<(String, JVal)>),
-}
-
-/// Parse a bench report. Returns `Err` on anything outside the report
-/// subset (see [`JVal`]).
-pub fn parse_json(text: &str) -> Result<JVal, String> {
+/// Parse a bench report back into the [`Json`] that rendered it. Reports
+/// only ever contain unsigned integers, booleans, strings, arrays, and
+/// objects; anything else (floats, nulls — e.g. a Chrome trace from
+/// another tool) is `Err`, and a caller comparing reports falls back to
+/// bytes.
+pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
     let v = parse_value(bytes, &mut pos)?;
@@ -75,7 +61,7 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JVal, String> {
+fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         Some(b'{') => {
@@ -84,7 +70,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JVal, String> {
             skip_ws(b, pos);
             if b.get(*pos) == Some(&b'}') {
                 *pos += 1;
-                return Ok(JVal::Obj(fields));
+                return Ok(Json::Obj(fields));
             }
             loop {
                 skip_ws(b, pos);
@@ -97,7 +83,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JVal, String> {
                     Some(b',') => *pos += 1,
                     Some(b'}') => {
                         *pos += 1;
-                        return Ok(JVal::Obj(fields));
+                        return Ok(Json::Obj(fields));
                     }
                     _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
                 }
@@ -109,7 +95,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JVal, String> {
             skip_ws(b, pos);
             if b.get(*pos) == Some(&b']') {
                 *pos += 1;
-                return Ok(JVal::Arr(items));
+                return Ok(Json::Arr(items));
             }
             loop {
                 items.push(parse_value(b, pos)?);
@@ -118,20 +104,20 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JVal, String> {
                     Some(b',') => *pos += 1,
                     Some(b']') => {
                         *pos += 1;
-                        return Ok(JVal::Arr(items));
+                        return Ok(Json::Arr(items));
                     }
                     _ => return Err(format!("expected ',' or ']' at byte {pos}")),
                 }
             }
         }
-        Some(b'"') => Ok(JVal::Str(parse_string(b, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') if b[*pos..].starts_with(b"true") => {
             *pos += 4;
-            Ok(JVal::Bool(true))
+            Ok(Json::Bool(true))
         }
         Some(b'f') if b[*pos..].starts_with(b"false") => {
             *pos += 5;
-            Ok(JVal::Bool(false))
+            Ok(Json::Bool(false))
         }
         Some(c) if c.is_ascii_digit() => {
             let start = *pos;
@@ -144,7 +130,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JVal, String> {
             std::str::from_utf8(&b[start..*pos])
                 .unwrap()
                 .parse()
-                .map(JVal::U64)
+                .map(Json::U64)
                 .map_err(|e| format!("number at byte {start}: {e}"))
         }
         _ => Err(format!("unexpected value at byte {pos}")),
@@ -188,17 +174,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 
 /// Flatten a parsed report into `(leaf path, rendered scalar)` pairs in
 /// document order: `points[3].p99_ps` → `"1350"`.
-pub fn flatten(v: &JVal, prefix: &str, out: &mut Vec<(String, String)>) {
+pub fn flatten(v: &Json, prefix: &str, out: &mut Vec<(String, String)>) {
     match v {
-        JVal::U64(n) => out.push((prefix.to_owned(), n.to_string())),
-        JVal::Bool(x) => out.push((prefix.to_owned(), x.to_string())),
-        JVal::Str(t) => out.push((prefix.to_owned(), format!("{t:?}"))),
-        JVal::Arr(items) => {
+        Json::U64(n) => out.push((prefix.to_owned(), n.to_string())),
+        Json::Bool(x) => out.push((prefix.to_owned(), x.to_string())),
+        Json::Str(t) => out.push((prefix.to_owned(), format!("{t:?}"))),
+        Json::Arr(items) => {
             for (i, item) in items.iter().enumerate() {
                 flatten(item, &format!("{prefix}[{i}]"), out);
             }
         }
-        JVal::Obj(fields) => {
+        Json::Obj(fields) => {
             for (k, val) in fields {
                 let path = if prefix.is_empty() {
                     k.clone()
@@ -395,60 +381,75 @@ pub fn diff_against_golden(golden: &Path, actual: &Path) -> Result<usize, String
     }
 }
 
-/// Check each `(name, events_per_sec)` row of `floor_file` against the
-/// matching row of `actual_file`. Returns the number of rows checked.
-pub fn check_perf_floor(floor_file: &Path, actual_file: &Path) -> Result<usize, String> {
+/// Check the traced benchmark runs in `dir` against `ceilings`, a file
+/// of `{"<workload>": {"<metric>": {"max": N}}}`. `<dir>/<workload>.json`
+/// holds the last line that `benchmark --workload <workload> --trace 1`
+/// printed: one JSON object with `correct`, `failed` and every per-layer
+/// metric as `"<metric>": {"value": V, ...}`. A workload passes when its
+/// line reads `"correct": true` and `"failed": 0` and each metric with a
+/// ceiling is present and at or below its `max`. Returns the number of
+/// values checked; `Err` names every failure.
+pub fn check_ceilings(ceilings: &Path, dir: &Path) -> Result<usize, String> {
     let read = |p: &Path| fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()));
-    let floors = events_per_sec_rows(&read(floor_file)?);
-    if floors.is_empty() {
-        return Err(format!(
-            "no events_per_sec rows in floor file {}",
-            floor_file.display()
-        ));
-    }
-    let actual = events_per_sec_rows(&read(actual_file)?);
-    let mut below = Vec::new();
-    for (name, floor) in &floors {
-        match actual.iter().find(|(n, _)| n == name) {
-            Some((_, got)) if got >= floor => {}
-            Some((_, got)) => below.push(format!(
-                "{name}: {got} events/sec is below the floor of {floor}"
-            )),
-            None => below.push(format!(
-                "{name}: row missing from {}",
-                actual_file.display()
-            )),
+    let workloads = match parse_json(&read(ceilings)?)? {
+        Json::Obj(w) if !w.is_empty() => w,
+        _ => return Err(format!("{} names no workload", ceilings.display())),
+    };
+    let (mut checked, mut failures) = (0, Vec::new());
+    for (workload, metrics) in &workloads {
+        let Json::Obj(metrics) = metrics else {
+            return Err(format!("{workload}: ceilings are not an object"));
+        };
+        let line = match read(&dir.join(format!("{workload}.json"))) {
+            Ok(line) => line,
+            Err(e) => {
+                failures.push(format!("{workload}: {e}"));
+                continue;
+            }
+        };
+        for flag in ["\"correct\": true", "\"failed\": 0"] {
+            if !line.contains(&format!("{flag},")) {
+                failures.push(format!("{workload}: the line lacks {flag}"));
+            }
+        }
+        for (metric, ceiling) in metrics {
+            let max =
+                ceiling_max(ceiling).ok_or(format!("{workload}: {metric} has no integer max"))?;
+            match metric_value(&line, metric) {
+                None => failures.push(format!("{workload}: {metric} is missing")),
+                Some(v) if v > max as f64 => failures.push(format!(
+                    "{workload}: {metric} = {v} is above its max of {max}"
+                )),
+                Some(_) => checked += 1,
+            }
         }
     }
-    if below.is_empty() {
-        Ok(floors.len())
+    if failures.is_empty() {
+        Ok(checked)
     } else {
         Err(format!(
-            "simulator throughput regression:\n  {}",
-            below.join("\n  ")
+            "traced benchmark runs fail their ceilings:\n  {}",
+            failures.join("\n  ")
         ))
     }
 }
 
-/// Extract `(name, events_per_sec)` pairs from a report rendered by
-/// [`report::Json`] (one field per line), pairing each `events_per_sec`
-/// with the most recent `"name"` above it. Rows without an
-/// `events_per_sec` field are skipped.
-pub fn events_per_sec_rows(text: &str) -> Vec<(String, u64)> {
-    let mut rows = Vec::new();
-    let mut current: Option<String> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"name\": \"") {
-            current = rest.strip_suffix("\",").map(str::to_owned);
-        } else if let Some(rest) = line.strip_prefix("\"events_per_sec\": ") {
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            if let (Some(name), Ok(v)) = (current.take(), digits.parse()) {
-                rows.push((name, v));
-            }
-        }
+/// The `N` of a ceiling `{"max": N}`.
+fn ceiling_max(ceiling: &Json) -> Option<u64> {
+    let Json::Obj(fields) = ceiling else {
+        return None;
+    };
+    match fields.as_slice() {
+        [(k, Json::U64(max))] if k == "max" => Some(*max),
+        _ => None,
     }
-    rows
+}
+
+/// The number after `"<metric>": {"value": ` in a benchmark result line.
+fn metric_value(line: &str, metric: &str) -> Option<f64> {
+    let key = format!("\"{metric}\": {{\"value\": ");
+    let rest = &line[line.find(&key)? + key.len()..];
+    rest[..rest.find([',', '}'])?].parse().ok()
 }
 
 #[cfg(test)]
@@ -502,57 +503,6 @@ mod tests {
         assert_eq!(diff_against_golden(&golden, &actual).unwrap(), 2);
         fs::remove_dir_all(&golden).unwrap();
         fs::remove_dir_all(&actual).unwrap();
-    }
-
-    fn perf_json(rows: &[(&str, Option<u64>)]) -> String {
-        obj(vec![(
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|&(n, eps)| {
-                        let mut fields = vec![("name", s(n)), ("median_ns", Json::U64(5))];
-                        if let Some(e) = eps {
-                            fields.push(("events_per_sec", Json::U64(e)));
-                        }
-                        obj(fields)
-                    })
-                    .collect(),
-            ),
-        )])
-        .render()
-    }
-
-    #[test]
-    fn perf_floor_passes_at_or_above_and_fails_below() {
-        let dir = scratch("perf");
-        let floor = dir.join("floor.json");
-        let actual = dir.join("actual.json");
-        fs::write(
-            &floor,
-            perf_json(&[("engine/a", Some(100)), ("engine/b", Some(50))]),
-        )
-        .unwrap();
-        fs::write(
-            &actual,
-            perf_json(&[
-                ("engine/a", Some(100)),
-                ("engine/b", Some(51)),
-                ("fabric/untracked", None),
-            ]),
-        )
-        .unwrap();
-        assert_eq!(check_perf_floor(&floor, &actual).unwrap(), 2);
-        fs::write(
-            &actual,
-            perf_json(&[("engine/a", Some(99)), ("engine/b", Some(51))]),
-        )
-        .unwrap();
-        let err = check_perf_floor(&floor, &actual).unwrap_err();
-        assert!(err.contains("engine/a: 99"), "{err}");
-        fs::write(&actual, perf_json(&[("engine/b", Some(51))])).unwrap();
-        let err = check_perf_floor(&floor, &actual).unwrap_err();
-        assert!(err.contains("engine/a: row missing"), "{err}");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -677,12 +627,121 @@ mod tests {
         fs::remove_dir_all(&actual).unwrap();
     }
 
+    /// A result line as `benchmark --trace 1` prints it last.
+    fn layer_line(correct: bool, failed: u64, metrics: &[(&str, f64)]) -> String {
+        let metrics: Vec<String> = metrics
+            .iter()
+            .map(|(name, v)| format!("\"{name}\": {{\"value\": {v}, \"unit\": \"ns\"}}"))
+            .collect();
+        format!(
+            "{{\"correct\": {correct}, \"attempted\": 8, \"failed\": {failed}, \"metrics\": {{{}}}}}\n",
+            metrics.join(", ")
+        )
+    }
+
+    /// Ceilings for two workloads, and a run dir whose lines sit exactly
+    /// at the ring's ceilings and below the mesh's.
+    fn ceilings_fixture(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = scratch(tag);
+        let ceilings = dir.join("ceilings.json");
+        fs::write(
+            &ceilings,
+            r#"{"ring": {"sim.calendar_ns_per_event": {"max": 90}, "nic.trigger_ns_per_op": {"max": 250}},
+                "mesh": {"sim.calendar_ns_per_event": {"max": 60}}}"#,
+        )
+        .unwrap();
+        let runs = dir.join("runs");
+        fs::create_dir_all(&runs).unwrap();
+        let ring = [
+            ("sim.events", 5e6),
+            ("sim.calendar_ns_per_event", 90.0),
+            ("nic.trigger_ns_per_op", 250.0),
+        ];
+        fs::write(runs.join("ring.json"), layer_line(true, 0, &ring)).unwrap();
+        let mesh = [("sim.calendar_ns_per_event", 12.25)];
+        fs::write(runs.join("mesh.json"), layer_line(true, 0, &mesh)).unwrap();
+        (ceilings, runs)
+    }
+
     #[test]
-    fn events_per_sec_parser_reads_rendered_reports() {
-        let text = perf_json(&[("engine/a", Some(123)), ("skip/me", None), ("x", Some(7))]);
-        assert_eq!(
-            events_per_sec_rows(&text),
-            [("engine/a".to_owned(), 123), ("x".to_owned(), 7)]
+    fn ceilings_pass_at_and_below_each_max() {
+        let (ceilings, runs) = ceilings_fixture("ceilings-pass");
+        assert_eq!(check_ceilings(&ceilings, &runs).unwrap(), 3);
+        fs::remove_dir_all(runs.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn ceilings_name_each_workload_and_metric_that_fails() {
+        let (ceilings, runs) = ceilings_fixture("ceilings-fail");
+        let fails = |line: String, want: &str| {
+            fs::write(runs.join("ring.json"), line).unwrap();
+            let err = check_ceilings(&ceilings, &runs).unwrap_err();
+            assert!(err.contains(want), "{err}");
+            assert!(!err.contains("mesh"), "{err}");
+        };
+        let ok = [
+            ("sim.calendar_ns_per_event", 1.0),
+            ("nic.trigger_ns_per_op", 1.0),
+        ];
+        fails(
+            layer_line(true, 0, &[ok[0], ("nic.trigger_ns_per_op", 250.5)]),
+            "ring: nic.trigger_ns_per_op = 250.5 is above its max of 250",
         );
+        fails(
+            layer_line(true, 0, &ok[..1]),
+            "ring: nic.trigger_ns_per_op is missing",
+        );
+        fails(
+            layer_line(false, 0, &ok),
+            "ring: the line lacks \"correct\": true",
+        );
+        fails(
+            layer_line(true, 1, &ok),
+            "ring: the line lacks \"failed\": 0",
+        );
+        fails(String::new(), "ring: sim.calendar_ns_per_event is missing");
+        fs::remove_file(runs.join("ring.json")).unwrap();
+        let err = check_ceilings(&ceilings, &runs).unwrap_err();
+        assert!(err.contains("ring: ") && err.contains("ring.json"), "{err}");
+        fs::remove_dir_all(runs.parent().unwrap()).unwrap();
+    }
+
+    /// The `"name"`s of one of `BENCHMARK.json`'s lists, one entry a line.
+    fn declared(bench: &str, list: &str) -> Vec<String> {
+        bench
+            .lines()
+            .skip_while(|l| !l.contains(&format!("\"{list}\": [")))
+            .skip(1)
+            .take_while(|l| !l.trim_start().starts_with(']'))
+            .filter_map(|l| l.split("{\"name\": \"").nth(1)?.split('"').next())
+            .map(str::to_owned)
+            .collect()
+    }
+
+    #[test]
+    fn layer_ceilings_cover_the_benchmark_workloads_with_its_layer_metrics() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let bench = fs::read_to_string(root.join("BENCHMARK.json")).unwrap();
+        let text = fs::read_to_string(root.join("bench-baselines/layer_ceilings.json")).unwrap();
+        let Json::Obj(ceilings) = parse_json(&text).unwrap() else {
+            panic!("layer_ceilings.json is not an object");
+        };
+        let workloads: Vec<&str> = ceilings.iter().map(|(w, _)| w.as_str()).collect();
+        assert_eq!(workloads, declared(&bench, "workloads"));
+        let layers = declared(&bench, "per_layer");
+        assert!(layers.len() > 4, "{layers:?}");
+        for (workload, metrics) in &ceilings {
+            let Json::Obj(metrics) = metrics else {
+                panic!("{workload}: ceilings are not an object");
+            };
+            assert!(!metrics.is_empty(), "{workload}");
+            for (metric, ceiling) in metrics {
+                assert!(
+                    layers.contains(metric),
+                    "{workload}: {metric} is not per_layer"
+                );
+                assert!(ceiling_max(ceiling).is_some(), "{workload}: {metric}");
+            }
+        }
     }
 }

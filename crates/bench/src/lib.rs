@@ -17,7 +17,6 @@
 //! | `abl_trigger_lookup` | §3.3 ablation — lookup under trigger storms |
 //! | `abl_relaxed_sync` | §3.2 ablation — overlap of post and launch |
 //! | `abl_granularity` | §4.2 ablation — messaging granularities |
-//! | `sim_engine` | wall-clock microbenchmarks of the simulator itself |
 
 pub mod compare;
 pub mod report;

@@ -7,14 +7,14 @@
 //! restricted to strings, booleans, and **integer** numbers — latencies
 //! are picosecond counts — so same-seed runs serialize byte-identically.
 
-use gtn_sim::stats::DurationHistogram;
 use gtn_sim::time::SimDuration;
 use std::fs;
 use std::path::PathBuf;
 
 /// A JSON value. No floats on purpose: every quantity a report carries is
 /// an integer (ps, counts) or text, which keeps output bit-reproducible.
-#[derive(Debug, Clone)]
+/// [`crate::compare::parse_json`] reads rendered reports back into it.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// Unsigned integer.
     U64(u64),
@@ -41,19 +41,6 @@ pub fn s(v: impl Into<String>) -> Json {
 /// Duration as integer picoseconds.
 pub fn ps(d: SimDuration) -> Json {
     Json::U64(d.as_ps())
-}
-
-/// Histogram summary: exact count/mean/min/max plus sampled percentiles,
-/// all in picoseconds.
-pub fn hist(h: &DurationHistogram) -> Json {
-    obj(vec![
-        ("count", Json::U64(h.count())),
-        ("mean_ps", ps(h.mean())),
-        ("p50_ps", ps(h.percentile(50.0))),
-        ("p99_ps", ps(h.percentile(99.0))),
-        ("min_ps", ps(h.min())),
-        ("max_ps", ps(h.max())),
-    ])
 }
 
 /// A stage decomposition (`timeline::stage_breakdown` output) as an object
@@ -230,18 +217,6 @@ mod tests {
         assert!(r.contains("\"empty\": []"), "{r}");
         assert_eq!(r, v.render());
         assert!(r.ends_with("}\n"));
-    }
-
-    #[test]
-    fn hist_summary_quotes_exact_aggregates() {
-        let mut h = DurationHistogram::new();
-        h.record(SimDuration::from_ns(100));
-        h.record(SimDuration::from_ns(300));
-        let r = hist(&h).render();
-        assert!(r.contains("\"count\": 2"), "{r}");
-        assert!(r.contains("\"mean_ps\": 200000"), "{r}");
-        assert!(r.contains("\"min_ps\": 100000"), "{r}");
-        assert!(r.contains("\"max_ps\": 300000"), "{r}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! from every destination host to precompute, for each `(dst, vertex)`
 //! pair, the set of out-edges that lie on a shortest path — the equal-cost
 //! candidates. Per-message path lookup is then allocation-free: the fabric
-//! walks `next_edge` hop by hop, and when several candidates tie, a
+//! walks `try_next_edge` hop by hop, and when several candidates tie, a
 //! deterministic seeded hash of `(src, dst, vertex)` picks one (flow-pinned
 //! ECMP: every packet of a pair takes the same path, and the same seed
 //! reproduces the same paths bit-for-bit).
@@ -235,25 +235,11 @@ impl FabricGraph {
         &self.out_edges[self.out_off[v as usize] as usize..self.out_off[v as usize + 1] as usize]
     }
 
-    /// The next edge on the `src -> dst` path when standing at vertex `at`.
-    /// Allocation-free; ties between equal-cost candidates are broken by a
-    /// seeded hash of `(src, dst, at)`, so a flow's path is stable.
-    #[inline]
-    pub fn next_edge(&self, at: u32, src: u32, dst: u32) -> u32 {
-        let idx = dst as usize * self.n_vertices as usize + at as usize;
-        let lo = self.cand_off[idx] as usize;
-        let hi = self.cand_off[idx + 1] as usize;
-        debug_assert!(hi > lo, "no route from vertex {at} toward host {dst}");
-        if hi - lo == 1 {
-            self.cands[lo]
-        } else {
-            let h = ecmp_hash(self.ecmp_seed, src, dst, at);
-            self.cands[lo + (h % (hi - lo) as u64) as usize]
-        }
-    }
-
-    /// Like [`FabricGraph::next_edge`] but `None` when no surviving edge
-    /// leads toward `dst` — the partitioned case after withdrawals.
+    /// The next edge on the `src -> dst` path when standing at vertex `at`,
+    /// or `None` when no surviving edge leads toward `dst` (the partitioned
+    /// case after withdrawals). Allocation-free; ties between equal-cost
+    /// candidates are broken by a seeded hash of `(src, dst, at)`, so a
+    /// flow's path is stable.
     #[inline]
     pub fn try_next_edge(&self, at: u32, src: u32, dst: u32) -> Option<u32> {
         let idx = dst as usize * self.n_vertices as usize + at as usize;

@@ -16,9 +16,10 @@ use crate::config::GpuConfig;
 use crate::kernel::{KernelLaunch, KernelOp, WgCtx};
 use gtn_mem::MemPool;
 use gtn_nic::{DynFields, Tag};
+use gtn_sim::hash::HashMap;
 use gtn_sim::stats::StatSet;
 use gtn_sim::time::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Cost of the GPU front-end ringing the NIC doorbell at a kernel boundary
 /// (the GDS mechanism): a single posted write from the scheduler, no CPU.
@@ -137,7 +138,7 @@ impl Gpu {
         let n = config.num_cus as usize;
         Gpu {
             config,
-            kernels: HashMap::new(),
+            kernels: HashMap::default(),
             next_kid: 0,
             frontend_busy: SimTime::ZERO,
             frontend_depth: 0,

@@ -34,7 +34,7 @@ use crate::program::HostOp;
 use gtn_mem::{Addr, MemPool, NodeId, RegionId};
 use gtn_nic::nic::NicCommand;
 use gtn_nic::op::{NetOp, Notify};
-use std::collections::HashMap;
+use gtn_sim::hash::{HashMap, MixState};
 
 /// Most mailbox slots a directed channel gets. Lock-step round-based
 /// patterns (halo exchange, ring collectives) stay within four messages
@@ -118,7 +118,7 @@ impl MpiWorld {
     pub fn new(mem: &mut MemPool, eager_limit: u64, messages: &[(u32, u32, u64)]) -> Self {
         // (pair, eager message count, largest eager message), first-seen order.
         let mut shapes: Vec<((u32, u32), u64, u64)> = Vec::new();
-        let mut index: HashMap<(u32, u32), usize> = HashMap::new();
+        let mut index: HashMap<(u32, u32), usize> = HashMap::default();
         for &(src, dst, bytes) in messages {
             if src == dst {
                 continue;
@@ -132,7 +132,7 @@ impl MpiWorld {
                 shapes[i].2 = shapes[i].2.max(bytes);
             }
         }
-        let mut channels = HashMap::with_capacity(shapes.len());
+        let mut channels = HashMap::with_capacity_and_hasher(shapes.len(), MixState::default());
         for ((src, dst), eager, slot_bytes) in shapes {
             let n_slots = eager.min(SLOTS);
             let slots_region = mem.alloc(NodeId(dst), slot_bytes * n_slots, "mpi.slots");

@@ -13,9 +13,9 @@ use gtn_gpu::KernelLaunch;
 use gtn_mem::{Addr, MemPool};
 use gtn_nic::nic::NicCommand;
 use gtn_nic::Tag;
+use gtn_sim::hash::HashSet;
 use gtn_sim::stats::StatSet;
 use gtn_sim::time::{SimDuration, SimTime};
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -218,7 +218,7 @@ impl Cpu {
             cfg,
             program,
             pc: 0,
-            completed_kernels: HashSet::new(),
+            completed_kernels: HashSet::default(),
             waiting_on: None,
             finished: false,
             poll_started: None,

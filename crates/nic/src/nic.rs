@@ -36,9 +36,10 @@ use crate::trigger::{TriggerError, TriggerList};
 use bytes::Bytes;
 use gtn_fabric::{Delivery, Fabric};
 use gtn_mem::{Addr, MemPool, NodeId};
+use gtn_sim::hash::HashMap;
 use gtn_sim::stats::StatSet;
 use gtn_sim::time::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A command the host posts to the NIC by ringing its doorbell.
 #[derive(Debug, Clone, PartialEq)]
@@ -286,13 +287,13 @@ impl Nic {
             fifo_draining: false,
             cmd_busy: SimTime::ZERO,
             dma_busy: SimTime::ZERO,
-            inflight: HashMap::new(),
+            inflight: HashMap::default(),
             next_op: 0,
             stats: StatSet::new(),
             errors: Vec::new(),
             cq: None,
             rel,
-            flow_queue: HashMap::new(),
+            flow_queue: HashMap::default(),
             cq_waiting: VecDeque::new(),
             cq_backlog: VecDeque::new(),
             cq_drain_scheduled: false,

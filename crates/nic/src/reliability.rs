@@ -61,9 +61,10 @@
 
 use gtn_fabric::CrashComponent;
 use gtn_mem::NodeId;
+use gtn_sim::hash::HashMap;
 use gtn_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Reliability-layer parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -249,11 +250,11 @@ impl<M> Reliability<M> {
     pub fn new(config: ReliabilityConfig) -> Self {
         Reliability {
             config,
-            next_seq: HashMap::new(),
-            pending: HashMap::new(),
-            next_commit: HashMap::new(),
-            held: HashMap::new(),
-            grants: HashMap::new(),
+            next_seq: HashMap::default(),
+            pending: HashMap::default(),
+            next_commit: HashMap::default(),
+            held: HashMap::default(),
+            grants: HashMap::default(),
             failures: Vec::new(),
         }
     }

@@ -22,79 +22,17 @@
 //! Each partition keeps its spilled tags in an ordered queue, boxed on
 //! its first spill, so a promotion pops the lowest tag instead of
 //! scanning the overflow table. Unbounded lookups never spill and never
-//! box one. Both tiers hash tags with a keyed mix (`TagHash`) rather than
-//! SipHash: tags are simulator-chosen integers, not attacker input, and
-//! each list draws random keys, so iteration order stays unpredictable
-//! and any result that leaned on it would fail the determinism gates.
+//! box one. Both tiers hash tags with the simulator's keyed mix
+//! ([`gtn_sim::hash::MixState`]), one SplitMix64 round per tag, with keys
+//! drawn per list from a sequence that every process repeats.
 
 use crate::dynamic::DynFields;
 use crate::lookup::LookupKind;
 use crate::op::{NetOp, Tag};
-use gtn_sim::rng::splitmix_mix;
+use gtn_sim::hash::HashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::RandomState;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::hash::{BuildHasher, Hasher};
-
-/// Keyed tag hash for the trigger list's two tiers: the SplitMix64
-/// finalizer over `(k0 ^ tag) + k1`. The keys come from a fresh
-/// [`RandomState`] (no allocation), and its 16 bytes match
-/// `RandomState`'s, so the maps keep their size.
-#[derive(Debug, Clone, Copy)]
-struct TagHash {
-    k0: u64,
-    k1: u64,
-}
-
-impl TagHash {
-    fn new() -> Self {
-        let keys = RandomState::new();
-        TagHash {
-            k0: keys.hash_one(0u64),
-            k1: keys.hash_one(1u64),
-        }
-    }
-}
-
-impl BuildHasher for TagHash {
-    type Hasher = TagHasher;
-
-    #[inline]
-    fn build_hasher(&self) -> TagHasher {
-        TagHasher {
-            keys: *self,
-            state: 0,
-        }
-    }
-}
-
-/// One [`TagHash`] computation. A `u64` tag is one `write_u64`; other
-/// input folds in eight bytes at a time.
-struct TagHasher {
-    keys: TagHash,
-    state: u64,
-}
-
-impl Hasher for TagHasher {
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        self.state = splitmix_mix((self.keys.k0 ^ self.state ^ x).wrapping_add(self.keys.k1));
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
 
 /// One partition's spilled tags, lowest first: the promotion order.
 #[derive(Debug, Clone, Default)]
@@ -259,9 +197,9 @@ pub const DEFAULT_OVERFLOW_CAPACITY: usize = 65_536;
 /// capacity live in the host-memory overflow table (see the module docs).
 #[derive(Debug)]
 pub struct TriggerList {
-    entries: HashMap<u64, TriggerEntry, TagHash>,
+    entries: HashMap<u64, TriggerEntry>,
     /// Host-memory spill table: same semantics, slower matches.
-    overflow: HashMap<u64, TriggerEntry, TagHash>,
+    overflow: HashMap<u64, TriggerEntry>,
     overflow_capacity: usize,
     kind: LookupKind,
     parts: TriggerPartitions,
@@ -302,10 +240,9 @@ impl TriggerList {
     ) -> Self {
         assert!(parts.partitions >= 1, "trigger partitions must be >= 1");
         let n = parts.partitions as usize;
-        let hash = TagHash::new();
         TriggerList {
-            entries: HashMap::with_hasher(hash),
-            overflow: HashMap::with_hasher(hash),
+            entries: HashMap::default(),
+            overflow: HashMap::default(),
             overflow_capacity,
             kind,
             parts,
@@ -643,6 +580,9 @@ impl TriggerList {
 mod tests {
     use super::*;
     use gtn_mem::{Addr, NodeId, RegionId};
+    use gtn_sim::hash::MixState;
+    use std::collections::hash_map::RandomState;
+    use std::hash::BuildHasher;
 
     fn put() -> NetOp {
         NetOp::Put {
@@ -970,7 +910,7 @@ mod tests {
 
     /// Fullest of `2^12` buckets over `tags`, indexed by the hash's low
     /// bits (the table's slot) and by its top bits (the control byte).
-    fn fullest_buckets(hash: &TagHash, tags: impl Iterator<Item = u64>) -> (usize, usize) {
+    fn fullest_buckets(hash: &MixState, tags: impl Iterator<Item = u64>) -> (usize, usize) {
         let (mut low, mut high) = (vec![0usize; 1 << 12], vec![0usize; 1 << 12]);
         for t in tags {
             let h = hash.hash_one(t);
@@ -986,7 +926,7 @@ mod tests {
     #[test]
     fn tag_hash_spreads_serving_and_collective_tags() {
         // 2^16 tags over 2^12 buckets: a mean of 16 per bucket.
-        let hash = TagHash::new();
+        let hash = MixState::default();
         let seqs = 0..1u64 << 16;
         for (name, (low, high)) in [
             // Serving: `seq * partitions + p`, one tenant partition...
@@ -1008,15 +948,14 @@ mod tests {
 
     #[test]
     fn tag_hashes_built_in_turn_get_different_keys() {
-        let (a, b) = (TagHash::new(), TagHash::new());
-        assert_ne!((a.k0, a.k1), (b.k0, b.k1));
+        let (a, b) = (MixState::default(), MixState::default());
         assert_ne!(a.hash_one(7u64), b.hash_one(7u64));
         // Same footprint as the default hasher, so no map or NIC grows.
         use std::mem::size_of;
-        assert_eq!(size_of::<TagHash>(), size_of::<RandomState>());
+        assert_eq!(size_of::<MixState>(), size_of::<RandomState>());
         assert_eq!(
-            size_of::<HashMap<u64, TriggerEntry, TagHash>>(),
-            size_of::<HashMap<u64, TriggerEntry>>()
+            size_of::<HashMap<u64, TriggerEntry>>(),
+            size_of::<std::collections::HashMap<u64, TriggerEntry>>()
         );
     }
 

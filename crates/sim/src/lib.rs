@@ -10,8 +10,10 @@
 //!
 //! 1. **Determinism.** Two runs with the same configuration produce
 //!    bit-identical event orders. Ties in simulated time are broken by
-//!    insertion sequence number, and all randomness flows through
-//!    explicitly-seeded [`rng::SimRng`] instances.
+//!    insertion sequence number, all randomness flows through
+//!    explicitly-seeded [`rng::SimRng`] instances, and hash maps draw their
+//!    keys from [`hash::MixState`]'s fixed sequence, so each process
+//!    iterates its maps in the same orders.
 //! 2. **Inspectability.** The [`trace`] module records labelled spans that
 //!    the evaluation harness turns into the paper's Figure-3/Figure-8 style
 //!    latency decompositions.
@@ -30,6 +32,7 @@
 
 pub mod engine;
 pub mod event;
+pub mod hash;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -12,8 +12,8 @@ use rand::{Rng, SeedableRng};
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The SplitMix64 output mix: a bijection on `u64` whose every output bit
-/// depends on every input bit. It expands seeds here and hashes the NIC
-/// trigger list's keyed tags.
+/// depends on every input bit. It expands seeds here, and derives the keys
+/// of every hash map and hashes with them ([`crate::hash::MixState`]).
 #[inline]
 pub fn splitmix_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

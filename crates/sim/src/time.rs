@@ -65,11 +65,6 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
-    /// Value in milliseconds (lossy, for reporting).
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Duration elapsed since `earlier`. Saturates at zero rather than
     /// panicking, because component state machines occasionally compare an
     /// event timestamp against a deadline that has already passed.
@@ -113,11 +108,6 @@ impl SimDuration {
     pub fn from_ns_f64(ns: f64) -> Self {
         debug_assert!(ns >= 0.0, "negative duration: {ns} ns");
         SimDuration((ns * 1e3).round() as u64)
-    }
-
-    /// Construct from fractional microseconds.
-    pub fn from_us_f64(us: f64) -> Self {
-        Self::from_ns_f64(us * 1e3)
     }
 
     /// Serialization time of `bytes` on a link of `gbps` gigabits per second.

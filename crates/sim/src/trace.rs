@@ -1,10 +1,12 @@
 //! Timeline tracing: labelled spans per actor lane.
 //!
 //! The paper communicates its core result through control-flow timelines
-//! (Fig. 3) and a latency decomposition (Fig. 8). Components open spans
-//! ("Kernel Launch", "Put", "Wait") on named lanes ("CPU", "GPU", "NIC");
-//! the harness extracts per-phase durations and renders an ASCII Gantt chart
-//! directly comparable to the figures.
+//! (Fig. 3) and a latency decomposition (Fig. 8). A trace holds closed
+//! spans ("Kernel Launch", "Put", "Wait") on named lanes ("CPU", "GPU",
+//! "NIC"), recorded after the fact from a run's activity log
+//! (`gtn_core::timeline::decompose_pingpong`); the harness extracts
+//! per-phase durations and renders an ASCII Gantt chart directly
+//! comparable to the figures.
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -30,85 +32,22 @@ impl Span {
     }
 }
 
-/// Handle to a span that has been opened but not yet closed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpenSpan(usize);
-
-/// An append-only trace of spans and instantaneous marks.
+/// An append-only trace of closed spans and instantaneous marks.
 #[derive(Debug, Default)]
 pub struct Trace {
     spans: Vec<Span>,
-    /// Slots for spans opened but not yet closed. Closing a span tombstones
-    /// its slot (`None`), reclaiming the label/lane strings — long traced
-    /// runs would otherwise grow this without bound — and making a second
-    /// `end()` on the same handle detectable.
-    open: Vec<Option<(String, String, SimTime)>>,
     /// Instantaneous labelled points (e.g. "doorbell rung").
     marks: Vec<(String, String, SimTime)>,
-    enabled: bool,
 }
 
 impl Trace {
-    /// A recording trace.
+    /// An empty trace.
     pub fn new() -> Self {
-        Trace {
-            enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// A disabled trace: all operations are cheap no-ops. Large sweeps (the
-    /// 32-node Allreduce scaling study) run with tracing off.
-    pub fn disabled() -> Self {
         Trace::default()
-    }
-
-    /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Open a span on `lane` with `label` starting now.
-    pub fn begin(&mut self, lane: &str, label: &str, now: SimTime) -> OpenSpan {
-        if !self.enabled {
-            return OpenSpan(usize::MAX);
-        }
-        self.open
-            .push(Some((lane.to_owned(), label.to_owned(), now)));
-        OpenSpan(self.open.len() - 1)
-    }
-
-    /// Close a previously opened span at instant `now`. The slot is
-    /// tombstoned: closing the same handle twice is a component bug
-    /// (debug-asserted) and records nothing in release builds, instead of
-    /// silently duplicating the span.
-    pub fn end(&mut self, handle: OpenSpan, now: SimTime) {
-        if !self.enabled || handle.0 == usize::MAX {
-            return;
-        }
-        let Some((lane, label, start)) = self.open[handle.0].take() else {
-            debug_assert!(false, "span handle {} closed twice", handle.0);
-            return;
-        };
-        debug_assert!(now >= start, "span ends before it starts");
-        self.spans.push(Span {
-            lane,
-            label,
-            start,
-            end: now,
-        });
-    }
-
-    /// Number of spans currently open (begun but not yet ended).
-    pub fn open_count(&self) -> usize {
-        self.open.iter().filter(|s| s.is_some()).count()
     }
 
     /// Record a complete span in one call.
     pub fn span(&mut self, lane: &str, label: &str, start: SimTime, end: SimTime) {
-        if !self.enabled {
-            return;
-        }
         debug_assert!(end >= start);
         self.spans.push(Span {
             lane: lane.to_owned(),
@@ -120,9 +59,6 @@ impl Trace {
 
     /// Record an instantaneous mark.
     pub fn mark(&mut self, lane: &str, label: &str, at: SimTime) {
-        if !self.enabled {
-            return;
-        }
         self.marks.push((lane.to_owned(), label.to_owned(), at));
     }
 
@@ -346,8 +282,7 @@ mod tests {
     #[test]
     fn spans_record_and_aggregate() {
         let mut tr = Trace::new();
-        let h = tr.begin("GPU", "Kernel", t(0));
-        tr.end(h, t(100));
+        tr.span("GPU", "Kernel", t(0), t(100));
         tr.span("GPU", "Kernel", t(200), t(250));
         tr.span("CPU", "Send", t(100), t(130));
         assert_eq!(tr.spans().len(), 3);
@@ -356,17 +291,6 @@ mod tests {
         assert_eq!(tr.total("CPU", "Recv"), SimDuration::ZERO);
         assert_eq!(tr.find("CPU", "Send").unwrap().start, t(100));
         assert_eq!(tr.horizon(), t(250));
-    }
-
-    #[test]
-    fn disabled_trace_is_noop() {
-        let mut tr = Trace::disabled();
-        let h = tr.begin("GPU", "Kernel", t(0));
-        tr.end(h, t(100));
-        tr.mark("NIC", "doorbell", t(5));
-        assert!(tr.spans().is_empty());
-        assert!(tr.marks().is_empty());
-        assert!(!tr.is_enabled());
     }
 
     #[test]
@@ -387,39 +311,6 @@ mod tests {
     fn gantt_of_empty_trace() {
         let tr = Trace::new();
         assert_eq!(tr.render_gantt(40), "(empty trace)\n");
-    }
-
-    #[test]
-    fn closed_spans_are_tombstoned() {
-        let mut tr = Trace::new();
-        let a = tr.begin("GPU", "Kernel", t(0));
-        let b = tr.begin("NIC", "Put", t(10));
-        assert_eq!(tr.open_count(), 2);
-        tr.end(a, t(100));
-        assert_eq!(tr.open_count(), 1, "slot reclaimed on close");
-        tr.end(b, t(120));
-        assert_eq!(tr.open_count(), 0);
-        assert_eq!(tr.spans().len(), 2);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "closed twice")]
-    fn double_close_panics_in_debug() {
-        let mut tr = Trace::new();
-        let h = tr.begin("GPU", "Kernel", t(0));
-        tr.end(h, t(100));
-        tr.end(h, t(200));
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn double_close_records_no_duplicate_in_release() {
-        let mut tr = Trace::new();
-        let h = tr.begin("GPU", "Kernel", t(0));
-        tr.end(h, t(100));
-        tr.end(h, t(200));
-        assert_eq!(tr.spans().len(), 1, "second close must not duplicate");
     }
 
     #[test]

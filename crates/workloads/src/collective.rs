@@ -63,8 +63,9 @@ use gtn_nic::lookup::LookupKind;
 use gtn_nic::nic::NicCommand;
 use gtn_nic::op::{NetOp, Notify};
 use gtn_nic::Tag;
+use gtn_sim::hash::{HashMap, HashSet};
 use gtn_sim::time::SimDuration;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Most staging slots a (receiver, sender) pair gets. A ring runs at most
 /// a few rounds ahead of its successor's folds; the credits keep a
@@ -222,7 +223,7 @@ fn plan_node(s: &Schedule, elems: u64) -> NodePlan {
     let mut next_tag = 0u64;
     let mut rounds = Vec::with_capacity(s.rounds.len());
     for round in &s.rounds {
-        let mut disp: HashMap<u32, Disposition> = HashMap::new();
+        let mut disp: HashMap<u32, Disposition> = HashMap::default();
         for op in &round.0 {
             match *op {
                 NbcOp::Reduce { chunk } => {
@@ -286,7 +287,7 @@ fn plan_node(s: &Schedule, elems: u64) -> NodePlan {
         // one segment per (round, peer) the sender's and receiver's
         // within-round orders could disagree. No generator emits that
         // shape; fail loudly if one ever does.
-        let mut peers = HashSet::new();
+        let mut peers = HashSet::default();
         for o in &rp.out {
             assert!(peers.insert(o.peer), "two outbound segments to one peer");
         }

@@ -24,9 +24,9 @@
 
 use crate::allreduce::{self, AllreduceParams};
 use gtn_core::Strategy;
+use gtn_sim::hash::HashMap;
 use gtn_sim::rng::SimRng;
 use gtn_sim::time::SimDuration;
-use std::collections::HashMap;
 
 /// One Table 3 workload.
 #[derive(Debug, Clone)]
@@ -115,7 +115,7 @@ impl CostTable {
     pub fn build(nodes: u32, sizes: &[u64], seed: u64) -> Self {
         assert!(sizes.windows(2).all(|w| w[0] < w[1]), "sizes ascending");
         assert!(!sizes.is_empty());
-        let mut times = HashMap::new();
+        let mut times = HashMap::default();
         for strategy in Strategy::all() {
             let mut row = Vec::with_capacity(sizes.len());
             for &s in sizes {
