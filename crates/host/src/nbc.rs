@@ -396,7 +396,7 @@ pub fn rhd_allreduce(rank: u32, n_ranks: u32) -> Schedule {
         } else {
             (lo + half, lo)
         };
-        let mut ops = Vec::new();
+        let mut ops = Vec::with_capacity(3 * half as usize);
         for c in send_lo..send_lo + half {
             ops.push(NbcOp::Send {
                 peer: partner,
@@ -421,7 +421,7 @@ pub fn rhd_allreduce(rank: u32, n_ranks: u32) -> Schedule {
         let stride = p >> (j + 1);
         let partner = rank ^ stride;
         let partner_lo = if rank & stride == 0 { lo + sz } else { lo - sz };
-        let mut ops = Vec::new();
+        let mut ops = Vec::with_capacity(3 * sz as usize);
         for c in lo..lo + sz {
             ops.push(NbcOp::Send {
                 peer: partner,

@@ -12,10 +12,12 @@
 //! different orders, so a result that leaned on that order would differ
 //! between them (the benchmark checks every cell's digest across passes).
 //!
-//! The hash is the SplitMix64 finalizer over `(k0 ^ state ^ word) + k1`,
-//! eight input bytes per word. Keys are simulator-chosen integers (tags,
-//! node ids, sequence numbers), not attacker input, so SipHash's flooding
-//! resistance buys nothing here.
+//! The hash is the SplitMix64 finalizer over `(k0 ^ state ^ word) + k1`.
+//! An integer of any width up to 64 bits is one word, zero-extended; a byte
+//! slice folds in eight bytes per word. On little-endian targets the two
+//! agree: an integer hashes as its bytes would. Keys are simulator-chosen
+//! integers (tags, node ids, sequence numbers), not attacker input, so
+//! SipHash's flooding resistance buys nothing here.
 
 use crate::rng::splitmix_mix;
 use std::cell::Cell;
@@ -63,8 +65,10 @@ impl BuildHasher for MixState {
     }
 }
 
-/// One [`MixState`] hash computation. A `u64` key is one `write_u64`;
-/// other input folds in eight bytes at a time.
+/// One [`MixState`] hash computation. An integer key up to 64 bits wide,
+/// and each such field of a tuple or a `derive(Hash)` struct, is one
+/// `write_u64` of the zero-extended value; a byte slice folds in eight
+/// bytes at a time.
 #[derive(Debug)]
 pub struct MixHasher {
     keys: MixState,
@@ -75,6 +79,28 @@ impl Hasher for MixHasher {
     #[inline]
     fn write_u64(&mut self, x: u64) {
         self.state = splitmix_mix((self.keys.k0 ^ self.state ^ x).wrapping_add(self.keys.k1));
+    }
+
+    // Signed widths, `bool`, `char`, enum discriminants and length prefixes
+    // reach these through `Hasher`'s defaults.
+    #[inline]
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -114,5 +140,82 @@ mod tests {
         let (first, second) = (orders(), orders());
         assert_eq!(first, second);
         assert_ne!(first[0], first[1], "maps built in turn iterate differently");
+    }
+
+    /// Taking an integer whole must not move any key's hash: bucket layout,
+    /// iteration order and drop order, and so the heap history a run
+    /// repeats, all follow from it. Sign-extending a narrow key, say, would
+    /// fail here.
+    #[cfg(target_endian = "little")]
+    #[test]
+    fn integer_writes_hash_as_their_le_bytes() {
+        use std::fmt::Debug;
+        use std::hash::Hash;
+
+        /// A hasher with only `write`: every integer reaches the byte-chunk
+        /// fold as its native bytes, which is how `MixHasher` hashed
+        /// integers before it took them whole.
+        struct BytesOnly(MixHasher);
+
+        impl Hasher for BytesOnly {
+            fn write(&mut self, bytes: &[u8]) {
+                self.0.write(bytes);
+            }
+
+            fn finish(&self) -> u64 {
+                self.0.finish()
+            }
+        }
+
+        #[derive(Debug, Hash)]
+        enum Kind {
+            Reduce,
+            Replace,
+            Skip,
+        }
+
+        fn check<T: Hash + Debug>(state: &MixState, key: T) {
+            let mut model = BytesOnly(state.build_hasher());
+            key.hash(&mut model);
+            assert_eq!(state.hash_one(&key), model.finish(), "{key:?}");
+        }
+
+        let state = MixState::default();
+        let kinds = [Kind::Reduce, Kind::Replace, Kind::Skip];
+        let edges = [
+            0,
+            1,
+            0x7f,
+            0x80,
+            0xff,
+            0x100,
+            0x7fff,
+            0x8000,
+            0xffff,
+            0x7fff_ffff,
+            0x8000_0000,
+            0xffff_ffff,
+            0x1_0000_0000,
+            i64::MAX as u64,
+            1 << 63,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let random = (0..10_000).map(|i| splitmix_mix(0x6861_7368 + i));
+        for w in edges.into_iter().chain(random) {
+            check(&state, w as u8);
+            check(&state, w as u16);
+            check(&state, w as u32);
+            check(&state, w);
+            check(&state, w as usize);
+            check(&state, w as i32);
+            check(&state, w as i64);
+            check(&state, (w as u32, (w >> 32) as u32));
+            check(&state, ((w >> 32) as u32, w.rotate_left(17)));
+            let text = format!("{w:x}");
+            check(&state, text.as_str());
+            check(&state, text);
+            check(&state, &kinds[(w % 3) as usize]);
+        }
     }
 }

@@ -63,7 +63,7 @@ use gtn_nic::lookup::LookupKind;
 use gtn_nic::nic::NicCommand;
 use gtn_nic::op::{NetOp, Notify};
 use gtn_nic::Tag;
-use gtn_sim::hash::{HashMap, HashSet};
+use gtn_sim::hash::{HashMap, HashSet, MixState};
 use gtn_sim::time::SimDuration;
 use std::collections::BTreeMap;
 
@@ -223,7 +223,16 @@ fn plan_node(s: &Schedule, elems: u64) -> NodePlan {
     let mut next_tag = 0u64;
     let mut rounds = Vec::with_capacity(s.rounds.len());
     for round in &s.rounds {
-        let mut disp: HashMap<u32, Disposition> = HashMap::default();
+        // One map per round, sized for its folds: each map draws the next
+        // keys in the thread's `MixState` sequence, so building fewer would
+        // re-key every map built after this plan.
+        let folds = round
+            .0
+            .iter()
+            .filter(|op| matches!(op, NbcOp::Reduce { .. } | NbcOp::Replace { .. }))
+            .count();
+        let mut disp: HashMap<u32, Disposition> =
+            HashMap::with_capacity_and_hasher(folds, MixState::default());
         for op in &round.0 {
             match *op {
                 NbcOp::Reduce { chunk } => {
