@@ -83,20 +83,22 @@ impl ClusterConfig {
     }
 
     /// Render the configuration as a Table 2-style report (used by the
-    /// `table2_config` bench to print paper-vs-model side by side).
+    /// `table2_config` bench to print paper-vs-model side by side). A
+    /// trailing `*` marks the values that are printed only: no cost model
+    /// a figure runs reads host cores or clock, or GPU CUs or clock.
     pub fn render_table2(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = writeln!(s, "CPU and Memory Configuration");
         let _ = writeln!(
             s,
-            "  Type               {} cores @ {} GHz (paper: 8 wide OOO, 4GHz, 8 cores)",
+            "  Type               {} cores @ {} GHz (paper: 8 wide OOO, 4GHz, 8 cores) *",
             self.host.cores, self.host.clock_ghz
         );
         let _ = writeln!(s, "GPU Configuration");
         let _ = writeln!(
             s,
-            "  Type               {} CUs @ {} GHz (paper: 1 GHz, 24 Compute Units)",
+            "  Type               {} CUs @ {} GHz (paper: 1 GHz, 24 Compute Units) *",
             self.gpu.num_cus, self.gpu.clock_ghz
         );
         let _ = writeln!(
@@ -125,6 +127,10 @@ impl ClusterConfig {
             "  Trigger lookup     {} (paper prototype: <=16 active, associative)",
             self.nic.lookup.name()
         );
+        let _ = writeln!(
+            s,
+            "* printed only: host cores and clock and GPU CUs and clock set no time in any figure"
+        );
         s
     }
 }
@@ -151,6 +157,7 @@ mod tests {
             "GPU Configuration",
             "Network Configuration",
             "100 Gbps",
+            "* printed only: host cores and clock and GPU CUs and clock",
         ] {
             assert!(s.contains(needle), "missing {needle}:\n{s}");
         }

@@ -187,7 +187,6 @@ pub fn tree_allreduce(rank: u32, n_ranks: u32) -> Schedule {
 /// ranks with bit `r` set (and bits below clear) send the vector to their
 /// parent `rank − 2^r`, which receives and reduces; `broadcast` mirrors
 /// the edge (parent sends, child replaces).
-#[allow(clippy::manual_is_multiple_of)] // `is_multiple_of` is past MSRV 1.75
 fn tree_round_ops(rank: u32, n: u32, r: u32, broadcast: bool) -> Vec<NbcOp> {
     let span = 1u32 << (r + 1);
     let half = 1u32 << r;
@@ -206,7 +205,7 @@ fn tree_round_ops(rank: u32, n: u32, r: u32, broadcast: bool) -> Vec<NbcOp> {
                 chunk: 0,
             });
         }
-    } else if rank % span == 0 && rank + half < n {
+    } else if rank.is_multiple_of(span) && rank + half < n {
         let child = rank + half;
         if broadcast {
             ops.push(NbcOp::Send {
@@ -227,12 +226,11 @@ fn tree_round_ops(rank: u32, n: u32, r: u32, broadcast: bool) -> Vec<NbcOp> {
 /// The largest divisor of `n` no bigger than `⌊√n⌋` — the default group
 /// size for [`hierarchical_allreduce`] (primes degrade to 1, i.e. a pure
 /// leader ring).
-#[allow(clippy::manual_is_multiple_of)] // `is_multiple_of` is past MSRV 1.75
 pub fn auto_group_size(n: u32) -> u32 {
     let mut best = 1;
     let mut d = 1;
     while d * d <= n {
-        if n % d == 0 {
+        if n.is_multiple_of(d) {
             best = d;
         }
         d += 1;
@@ -251,13 +249,12 @@ pub fn auto_group_size(n: u32) -> u32 {
 /// 3. the mirrored intra-group broadcast.
 ///
 /// Non-leaders idle (empty rounds) through phase 2.
-#[allow(clippy::manual_is_multiple_of)] // `is_multiple_of` is past MSRV 1.75
 pub fn hierarchical_allreduce(rank: u32, n_ranks: u32, group_size: u32) -> Schedule {
     assert!(n_ranks >= 2, "allreduce needs at least 2 ranks");
     assert!(rank < n_ranks);
     assert!(group_size >= 1, "group_size must be at least 1");
     assert!(
-        n_ranks % group_size == 0,
+        n_ranks.is_multiple_of(group_size),
         "group_size {group_size} must divide n_ranks {n_ranks}"
     );
     let m = group_size;

@@ -49,12 +49,37 @@ impl SimRng {
     #[inline]
     pub fn keyed_f32(key: u64, lo: f32, hi: f32) -> f32 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
-        let s0 = splitmix_mix(key.wrapping_add(GOLDEN_GAMMA));
-        let s3 = splitmix_mix(key.wrapping_add(GOLDEN_GAMMA.wrapping_mul(4)));
-        let word = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
-        // `Rng::gen_range` over f32: 24 high bits to [0, 1), then scale.
-        let unit = (word >> 40) as f32 * (1.0 / (1u64 << 24) as f32);
-        lo + unit * (hi - lo)
+        keyed(key, lo, hi - lo)
+    }
+
+    /// [`keyed_f32`](Self::keyed_f32) over consecutive keys, in bulk:
+    /// writes `keyed_f32(base ^ j, lo, hi)` for `j = start, start + 1, …`
+    /// (wrapping) into `out`, one little-endian `f32` per four bytes.
+    ///
+    /// The loop body is `keyed_f32`'s formula, compiled for AVX-512 and
+    /// AVX2 as well as portably; each call runs the widest form the CPU
+    /// supports. All three write the scalar form's bits: the formula is
+    /// integer mixing, an exact conversion of a 24-bit integer, and one
+    /// IEEE multiply and one add per element, which Rust never contracts
+    /// into a fused multiply-add.
+    pub fn keyed_f32_fill(base: u64, start: u64, lo: f32, hi: f32, out: &mut [u8]) {
+        assert!(lo < hi, "empty range [{lo}, {hi})");
+        let (words, rest) = out.as_chunks_mut::<4>();
+        assert!(rest.is_empty(), "`out` ends in a partial f32");
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+                // SAFETY: `fill_avx512` needs avx512f and avx512dq, and the
+                // check above found both on this CPU.
+                return unsafe { fill_avx512(base, start, lo, hi, words) };
+            }
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: `fill_avx2` needs avx2, and the check above found
+                // it on this CPU.
+                return unsafe { fill_avx2(base, start, lo, hi, words) };
+            }
+        }
+        fill_portable(base, start, lo, hi, words)
     }
 
     /// Derive an independent child stream, e.g. one per node, so adding a
@@ -110,9 +135,47 @@ impl SimRng {
     }
 }
 
+/// The closed form behind [`SimRng::keyed_f32`], with `span = hi - lo`.
+#[inline(always)]
+fn keyed(key: u64, lo: f32, span: f32) -> f32 {
+    let s0 = splitmix_mix(key.wrapping_add(GOLDEN_GAMMA));
+    let s3 = splitmix_mix(key.wrapping_add(GOLDEN_GAMMA.wrapping_mul(4)));
+    let word = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+    // `Rng::gen_range` over f32: 24 high bits to [0, 1), then scale.
+    let unit = (word >> 40) as f32 * (1.0 / (1u64 << 24) as f32);
+    lo + unit * span
+}
+
+/// The loop of [`SimRng::keyed_f32_fill`], written once and inlined into
+/// each instantiation below.
+#[inline(always)]
+fn fill(base: u64, start: u64, lo: f32, hi: f32, out: &mut [[u8; 4]]) {
+    let span = hi - lo;
+    for (i, w) in (0u64..).zip(out) {
+        *w = keyed(base ^ start.wrapping_add(i), lo, span).to_le_bytes();
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn fill_avx512(base: u64, start: u64, lo: f32, hi: f32, out: &mut [[u8; 4]]) {
+    fill(base, start, lo, hi, out)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fill_avx2(base: u64, start: u64, lo: f32, hi: f32, out: &mut [[u8; 4]]) {
+    fill(base, start, lo, hi, out)
+}
+
+fn fill_portable(base: u64, start: u64, lo: f32, hi: f32, out: &mut [[u8; 4]]) {
+    fill(base, start, lo, hi, out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn same_seed_same_stream() {
@@ -173,6 +236,52 @@ mod tests {
         let mut keys = SimRng::seeded(0x5EED);
         for _ in 0..1_000_000 {
             check(keys.inner.gen());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every instantiation of the bulk kernel this CPU can run, called
+        /// directly, and the dispatching entry point against per-element
+        /// `keyed_f32`. Lengths up to 300 leave vector-loop tails of every
+        /// size.
+        #[test]
+        fn keyed_f32_fill_is_keyed_f32_bit_for_bit(
+            base in any::<u64>(),
+            start in prop_oneof![any::<u64>(), (u64::MAX - 300)..u64::MAX],
+            len in 0usize..301,
+            lo in prop_oneof![Just(-1.0f32), -4.0f32..4.0],
+            width in prop_oneof![Just(2.0f32), 0.001f32..8.0],
+        ) {
+            let hi = lo + width;
+            let want: Vec<[u8; 4]> = (0..len as u64)
+                .map(|i| SimRng::keyed_f32(base ^ start.wrapping_add(i), lo, hi).to_le_bytes())
+                .collect();
+            // A NaN pattern no element can take, so unwritten words show.
+            let unwritten = [0xff; 4];
+            let mut out = vec![unwritten; len];
+            fill_portable(base, start, lo, hi, &mut out);
+            prop_assert_eq!(&out, &want, "portable");
+            #[cfg(target_arch = "x86_64")]
+            {
+                if is_x86_feature_detected!("avx2") {
+                    out.fill(unwritten);
+                    // SAFETY: the check above found avx2 on this CPU.
+                    unsafe { fill_avx2(base, start, lo, hi, &mut out) };
+                    prop_assert_eq!(&out, &want, "avx2");
+                }
+                if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+                    out.fill(unwritten);
+                    // SAFETY: the check above found avx512f and avx512dq on
+                    // this CPU.
+                    unsafe { fill_avx512(base, start, lo, hi, &mut out) };
+                    prop_assert_eq!(&out, &want, "avx512");
+                }
+            }
+            let mut bytes = vec![0xff; 4 * len];
+            SimRng::keyed_f32_fill(base, start, lo, hi, &mut bytes);
+            prop_assert_eq!(bytes, want.concat(), "dispatched");
         }
     }
 

@@ -70,7 +70,18 @@ pub struct AllreduceResult {
 /// of the stream seeded by `seed ^ rank << 40 ^ j`, in closed form.
 #[inline]
 pub(crate) fn input_value(seed: u64, rank: u32, j: u64) -> f32 {
-    SimRng::keyed_f32(seed ^ ((rank as u64) << 40) ^ j, -1.0, 1.0)
+    SimRng::keyed_f32(input_base(seed, rank) ^ j, -1.0, 1.0)
+}
+
+/// Rank `rank`'s whole input vector, [`input_value`] for `j = 0, 1, …`,
+/// written into `out` as little-endian `f32` bytes by the bulk kernel.
+pub(crate) fn fill_input(seed: u64, rank: u32, out: &mut [u8]) {
+    SimRng::keyed_f32_fill(input_base(seed, rank), 0, -1.0, 1.0, out)
+}
+
+/// The part of an input key that names the rank's stream.
+fn input_base(seed: u64, rank: u32) -> u64 {
+    seed ^ ((rank as u64) << 40)
 }
 
 /// Exact expected result: for chunk `c`, the partial starts at rank `c`

@@ -46,7 +46,7 @@
 //! float-for-float, not within a tolerance. The replay allocates nothing
 //! per chunk, so checking a 512-rank run costs a fraction of simulating it.
 
-use crate::allreduce::{cpu_reduce_time, gpu_reduce_time, input_value};
+use crate::allreduce::{cpu_reduce_time, fill_input, gpu_reduce_time, input_value};
 use crate::harness::{Harness, JobFailure, ScenarioParams, ScenarioResult};
 use gtn_core::cluster::Cluster;
 use gtn_core::config::ClusterConfig;
@@ -546,9 +546,7 @@ pub(crate) fn execute(
             let vec = mem
                 .try_read_mut(b.vec, params.elems * 4)
                 .expect("col.vec holds the whole vector");
-            for (j, c) in (0..).zip(vec.chunks_exact_mut(4)) {
-                c.copy_from_slice(&input_value(params.seed, rank, j).to_le_bytes());
-            }
+            fill_input(params.seed, rank, vec);
             b
         })
         .collect();

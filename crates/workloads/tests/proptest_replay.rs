@@ -93,13 +93,15 @@ fn check(schedules: &[Schedule], elems: u64, seed: u64) -> Result<(), TestCaseEr
 /// Kind `k` of the five families at about `n` ranks: halving-doubling
 /// rounds `n` to a power of two, and the hierarchical group size is
 /// automatic (`g == 0`) or the largest divisor of `n` not above `g`.
-#[allow(clippy::manual_is_multiple_of)] // `is_multiple_of` is past MSRV 1.75
 fn family(k: usize, n: u32, g: u32) -> (Collective, u32) {
     match k {
         0 => (Collective::RingAllreduce, n),
         1 => (Collective::TreeAllreduce, n),
         2 => {
-            let group_size = (1..=g.min(n)).rev().find(|d| n % d == 0).unwrap_or(0);
+            let group_size = (1..=g.min(n))
+                .rev()
+                .find(|&d| n.is_multiple_of(d))
+                .unwrap_or(0);
             (Collective::HierAllreduce { group_size }, n)
         }
         3 => (Collective::RhdAllreduce, n.next_power_of_two()),
