@@ -28,7 +28,7 @@ use gtn_bench::sweep;
 use gtn_core::scenario::ConfigPatch;
 use gtn_core::{RecoveryPolicy, Strategy};
 use gtn_fabric::CrashComponent;
-use gtn_workloads::allreduce::{self, AllreduceParams};
+use gtn_workloads::allreduce::{self, Allreduce, AllreduceParams};
 use gtn_workloads::chaos::{self, ChaosReport, Verdict};
 use gtn_workloads::harness::ScenarioParams;
 
@@ -88,7 +88,15 @@ fn run_cell(cell: Cell) -> ChaosReport {
                 .with_crash(component(cell.comp), cell.crash_at_ns)
                 .with_detection(cell.policy),
         );
-    let report = chaos::run_cell(&params, "allreduce");
+    let report = chaos::run_cell(&params, &Allreduce).unwrap_or_else(|f| {
+        panic!(
+            "{} {} {}% {}: {f}",
+            cell.strategy,
+            cell.comp,
+            cell.pct,
+            cell.policy.name()
+        )
+    });
     // The liveness contract: structured verdicts only, within budget.
     assert!(
         report.events <= EVENT_BUDGET,

@@ -17,7 +17,7 @@
 use gtn_bench::sweep;
 use gtn_core::Strategy;
 use gtn_workloads::harness::{ConfigPatch, Harness};
-use gtn_workloads::jacobi::{run_with_config, JacobiParams};
+use gtn_workloads::jacobi::{try_run_with_config, JacobiParams};
 
 const N_LOCAL: u32 = 64;
 const ITERS: u32 = 4;
@@ -29,10 +29,11 @@ const LOSS: [f64; 5] = [0.0, 0.001, 0.01, 0.05, 0.10];
 /// per-node interiors.
 fn cell(strategy: Strategy, loss: f64) -> (f64, u64, Vec<Vec<f32>>) {
     let patch = ConfigPatch::loss(FAULT_SEED, loss);
-    let r = run_with_config(
+    let r = try_run_with_config(
         JacobiParams::square4(N_LOCAL, ITERS, strategy, SEED),
         |config| patch.apply(config),
-    );
+    )
+    .unwrap_or_else(|f| panic!("{strategy} loss {loss}: {f}"));
     assert_eq!(
         r.scenario.delivery_failures, 0,
         "{strategy} exhausted a retry budget"

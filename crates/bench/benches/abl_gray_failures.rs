@@ -39,8 +39,10 @@ use gtn_core::membership::FailureConfig;
 use gtn_core::scenario::ConfigPatch;
 use gtn_core::{RecoveryPolicy, Strategy};
 use gtn_fabric::{DegradeSpec, Fabric, FabricConfig, Topology};
-use gtn_workloads::chaos::{self, ChaosReport, Verdict};
+use gtn_workloads::allreduce::Allreduce;
+use gtn_workloads::chaos::{self, ChaosReport, Recoverable, Verdict};
 use gtn_workloads::harness::ScenarioParams;
+use gtn_workloads::jacobi::Jacobi;
 use gtn_workloads::serving::{self, ArrivalProcess, ServingParams};
 
 const SEED: u64 = 0x6EA1;
@@ -101,8 +103,8 @@ fn gray_specs() -> Vec<(&'static str, DegradeSpec)> {
     ]
 }
 
-fn run_chaos_cell(params: &ScenarioParams, workload: &str, what: &str) -> ChaosReport {
-    let report = chaos::run_cell(params, workload);
+fn run_chaos_cell(params: &ScenarioParams, workload: &dyn Recoverable, what: &str) -> ChaosReport {
+    let report = chaos::run_cell(params, workload).unwrap_or_else(|f| panic!("{what}: {f}"));
     assert!(
         report.verified || report.verdict == Verdict::Aborted,
         "{what}: unverified non-abort verdict: {report:?}"
@@ -177,7 +179,7 @@ fn main() {
         ("star", "route-around", star_cell),
     ];
     let failover_reports = sweep::run(failover_cells.clone(), |(topo, policy, params)| {
-        run_chaos_cell(&params, "allreduce", &format!("failover {topo} {policy}"))
+        run_chaos_cell(&params, &Allreduce, &format!("failover {topo} {policy}"))
     });
     // The headline contract: same injection, policy the only variable —
     // the fat-tree collective survives under route-around (no re-run,
@@ -217,7 +219,7 @@ fn main() {
             .iters(DETECT_ITERS)
             .seed(SEED)
             .patch(ConfigPatch::crash_node(2, CRASH_AT_NS).with_failure(failure));
-        run_chaos_cell(&params, "jacobi", &format!("detector {name}"))
+        run_chaos_cell(&params, &Jacobi, &format!("detector {name}"))
     });
     println!(
         "\ndetectors: node 2 crashes at {} us into a {}-iter Jacobi sweep",
@@ -264,7 +266,7 @@ fn main() {
             .size(gray_elems)
             .seed(SEED)
             .patch(ConfigPatch::NONE.with_failure(fast_phi()));
-        run_chaos_cell(&params, "allreduce", &format!("baseline {strategy}")).total_ns
+        run_chaos_cell(&params, &Allreduce, &format!("baseline {strategy}")).total_ns
     });
     let gray_cells: Vec<(Strategy, u64, &'static str, DegradeSpec)> = gray_strategies
         .iter()
@@ -285,7 +287,7 @@ fn main() {
                     .with_degrade(spec)
                     .with_failure(fast_phi()),
             );
-        run_chaos_cell(&params, "allreduce", &format!("gray {strategy} {name}"))
+        run_chaos_cell(&params, &Allreduce, &format!("gray {strategy} {name}"))
     });
     println!("\ngray sweep: {gray_elems}-elem allreduce, φ-accrual armed (10 us probes)");
     println!(

@@ -24,7 +24,7 @@ use gtn_bench::report::{self, obj, s, Json};
 use gtn_bench::sweep;
 use gtn_core::Strategy;
 use gtn_workloads::harness::{ConfigPatch, Harness, ResourceLimits};
-use gtn_workloads::jacobi::{run_with_config, JacobiParams, JacobiResult};
+use gtn_workloads::jacobi::{try_run_with_config, JacobiParams, JacobiResult};
 
 const N_LOCAL: u32 = 64;
 const ITERS: u32 = 4;
@@ -53,10 +53,11 @@ fn limits(ways: u32, cq: u64) -> ConfigPatch {
 
 fn cell(strategy: Strategy, ways: u32, cq: u64) -> JacobiResult {
     let patch = limits(ways, cq);
-    let r = run_with_config(
+    let r = try_run_with_config(
         JacobiParams::square4(N_LOCAL, ITERS, strategy, SEED),
         |config| patch.apply(config),
-    );
+    )
+    .unwrap_or_else(|f| panic!("{strategy} ways={ways} cq={cq}: {f}"));
     assert_eq!(
         r.scenario.stats.counter_across("nic", "trigger_errors"),
         0,

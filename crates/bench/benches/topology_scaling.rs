@@ -105,7 +105,7 @@ fn main() {
     }
     let points: Vec<Point> = sweep::run(cells.clone(), |c| {
         let topo = topology_of(c.topo, c.nodes);
-        let r = collective::run_with_config(
+        let r = collective::try_run_with_config(
             "topology_scaling",
             kind_of(c.sched),
             CollectiveParams {
@@ -115,7 +115,8 @@ fn main() {
                 seed: SEED,
             },
             |config| config.fabric.topology = topo,
-        );
+        )
+        .unwrap_or_else(|f| panic!("{} nodes {}: {f}", c.nodes, c.strategy));
         Point {
             total_ps: r.scenario.total.as_ps(),
             max_link_bytes: r.scenario.stats.counter("fabric", "max_link_bytes"),

@@ -65,6 +65,15 @@ impl ClusterConfig {
         self.gpu.validate()?;
         self.nic.validate()?;
         self.fabric.validate()?;
+        if let Some(cap) = self.fabric.topology.capacity() {
+            if u64::from(self.n_nodes) > cap {
+                return Err(format!(
+                    "{} supports at most {cap} hosts, asked for {}",
+                    self.fabric.topology.label(),
+                    self.n_nodes
+                ));
+            }
+        }
         // Without ARQ the NIC never consults the fault plan, so a plan that
         // can drop would run silently lossless. Crash-stop alone is fine:
         // the cluster suppresses a dead component's traffic itself.
@@ -191,6 +200,16 @@ mod tests {
     fn zero_nodes_invalid() {
         let mut c = ClusterConfig::table2(1);
         c.n_nodes = 0;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn a_topology_smaller_than_the_cluster_is_invalid() {
+        // A k = 2 fat-tree holds two hosts.
+        let mut c = ClusterConfig::table2(2);
+        c.fabric.topology = gtn_fabric::Topology::FatTree { k: 2 };
+        assert!(c.validate().is_ok());
+        c.n_nodes = 3;
         assert!(c.validate().is_err());
     }
 }

@@ -22,7 +22,9 @@ use gtn_sim::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ConfigPatch {
     /// Seeded packet loss `(fault_seed, rate)`; a rate of `0.0` is the
-    /// lossless baseline (no fault injection, reliability layer off).
+    /// lossless baseline (no fault injection, reliability layer off). Any
+    /// other rate installs the fault plan, whose validation rejects a rate
+    /// outside `[0, 1]`.
     pub loss: Option<(u64, f64)>,
     /// Shrunk NIC resource limits, to force the graceful-degradation
     /// machinery (trigger spill, bounded CQ, flow-control credits) under
@@ -213,7 +215,7 @@ impl ConfigPatch {
             config.fabric.topology = topo;
         }
         if let Some((seed, rate)) = self.loss {
-            if rate > 0.0 {
+            if rate != 0.0 {
                 config.fabric.faults = gtn_fabric::FaultConfig::loss(seed, rate);
                 config.nic.reliability = gtn_nic::reliability::ReliabilityConfig::on();
             }

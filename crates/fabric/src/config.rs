@@ -67,9 +67,9 @@ impl Default for FabricConfig {
 impl FabricConfig {
     /// Validate invariants; called by [`crate::Fabric::new`].
     pub fn validate(&self) -> Result<(), String> {
-        if self.link_gbps <= 0.0 {
+        if !(self.link_gbps.is_finite() && self.link_gbps > 0.0) {
             return Err(format!(
-                "link_gbps must be positive, got {}",
+                "link_gbps must be finite and positive, got {}",
                 self.link_gbps
             ));
         }
@@ -93,6 +93,17 @@ mod tests {
         assert_eq!(c.switch_latency_ns, 100);
         assert_eq!(c.topology, Topology::Star);
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn link_bandwidth_must_be_finite_and_positive() {
+        for link_gbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let c = FabricConfig {
+                link_gbps,
+                ..FabricConfig::default()
+            };
+            assert!(c.validate().is_err(), "{link_gbps}");
+        }
     }
 
     #[test]

@@ -59,7 +59,8 @@ impl Topology {
     }
 
     /// Validate shape parameters (independent of node count; capacity
-    /// against a concrete node count is checked by [`crate::Fabric::new`]).
+    /// against a concrete node count is checked by the cluster config and
+    /// asserted by [`crate::Fabric::new`]).
     pub fn validate(&self) -> Result<(), String> {
         match *self {
             Topology::Star | Topology::FullMesh => Ok(()),

@@ -79,23 +79,6 @@ impl GpuConfig {
         SimDuration::from_ns(self.teardown_ns)
     }
 
-    /// Execution time of a compute phase on **one work-group**: `items`
-    /// work-items at `cycles_per_item`, wavefronts executing serially on the
-    /// work-group's CU.
-    pub fn wg_compute_time(&self, items: u32, cycles_per_item: u64) -> SimDuration {
-        let wavefronts = items.div_ceil(self.wavefront_size) as u64;
-        SimDuration::from_cycles(wavefronts * cycles_per_item, self.clock_ghz)
-    }
-
-    /// First-order execution time of an elementwise kernel over
-    /// `total_items`, with work distributed across all CUs — used by
-    /// workloads to size compute phases.
-    pub fn elementwise_time(&self, total_items: u64, cycles_per_item: u64) -> SimDuration {
-        let lanes = (self.num_cus * self.wavefront_size) as u64;
-        let steps = total_items.div_ceil(lanes);
-        SimDuration::from_cycles(steps * cycles_per_item, self.clock_ghz)
-    }
-
     /// Validate invariants.
     pub fn validate(&self) -> Result<(), String> {
         if self.clock_ghz <= 0.0 {
@@ -124,28 +107,6 @@ mod tests {
         assert_eq!(c.launch_latency(1), SimDuration::from_us(1).times(3) / 2);
         assert_eq!(c.teardown_latency(), SimDuration::from_ns(1_500));
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn wg_compute_time_rounds_to_wavefronts() {
-        let c = GpuConfig::default();
-        // 64 items = 1 wavefront; 10 cycles at 1 GHz = 10 ns.
-        assert_eq!(c.wg_compute_time(64, 10), SimDuration::from_ns(10));
-        // 65 items = 2 wavefronts.
-        assert_eq!(c.wg_compute_time(65, 10), SimDuration::from_ns(20));
-        // 1 item still costs one wavefront.
-        assert_eq!(c.wg_compute_time(1, 10), SimDuration::from_ns(10));
-    }
-
-    #[test]
-    fn elementwise_time_uses_all_lanes() {
-        let c = GpuConfig::default();
-        let lanes = 24 * 64;
-        assert_eq!(c.elementwise_time(lanes as u64, 4), SimDuration::from_ns(4));
-        assert_eq!(
-            c.elementwise_time(lanes as u64 * 10, 4),
-            SimDuration::from_ns(40)
-        );
     }
 
     #[test]

@@ -51,8 +51,9 @@ pub type DynFn = Arc<dyn Fn(&WgCtx) -> DynFields + Send + Sync>;
 /// One operation of a kernel program.
 #[derive(Clone)]
 pub enum KernelOp {
-    /// A timed compute phase (duration precomputed by the workload via
-    /// [`crate::GpuConfig::wg_compute_time`]).
+    /// A timed compute phase, its duration precomputed by the workload (the
+    /// Jacobi and collective lowerings price their sweeps and folds by
+    /// memory traffic, `gtn_mem::latency::MemHierarchy::sweep_time`).
     Compute(SimDuration),
     /// A functional effect on simulated memory, attributed zero time (pair
     /// it with a [`KernelOp::Compute`] for its cost).

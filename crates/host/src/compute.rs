@@ -59,17 +59,6 @@ impl CpuCompute {
     pub fn memcpy(&self, bytes: u64) -> SimDuration {
         SimDuration::from_ns_f64(bytes as f64 / self.cfg.memcpy_gbps)
     }
-
-    /// Time of a 5-point Jacobi sweep over an `n × n` grid on the CPU:
-    /// 4 adds + 1 multiply per cell, ~5 f32 loads + 1 store of traffic.
-    pub fn jacobi_sweep(&self, n: u64) -> SimDuration {
-        self.elementwise(n * n, 5, 12)
-    }
-
-    /// Time to reduce (`+=`) an `n`-element f32 vector into another.
-    pub fn reduce_add(&self, n: u64) -> SimDuration {
-        self.elementwise(n, 1, 12)
-    }
 }
 
 #[cfg(test)]
@@ -119,12 +108,5 @@ mod tests {
         // 20 GB/s: 1 MB in ~52.4 us.
         let t = m.memcpy(1 << 20);
         assert!((t.as_us_f64() - 52.4).abs() < 0.2, "{t}");
-    }
-
-    #[test]
-    fn jacobi_and_reduce_helpers_are_consistent() {
-        let m = model();
-        assert_eq!(m.jacobi_sweep(64), m.elementwise(64 * 64, 5, 12));
-        assert_eq!(m.reduce_add(1000), m.elementwise(1000, 1, 12));
     }
 }

@@ -88,6 +88,12 @@ impl HostConfig {
                 self.parallel_efficiency
             ));
         }
+        if !(self.memcpy_gbps.is_finite() && self.memcpy_gbps > 0.0) {
+            return Err(format!(
+                "memcpy_gbps must be finite and positive, got {}",
+                self.memcpy_gbps
+            ));
+        }
         if self.poll_interval_ns == 0 {
             return Err("poll_interval_ns must be nonzero".into());
         }
@@ -129,5 +135,16 @@ mod tests {
             ..HostConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn memcpy_bandwidth_must_be_finite_and_positive() {
+        for memcpy_gbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let c = HostConfig {
+                memcpy_gbps,
+                ..HostConfig::default()
+            };
+            assert!(c.validate().is_err(), "{memcpy_gbps}");
+        }
     }
 }

@@ -93,8 +93,11 @@ impl Default for NicConfig {
 impl NicConfig {
     /// Validate invariants.
     pub fn validate(&self) -> Result<(), String> {
-        if self.dma_gbps <= 0.0 {
-            return Err(format!("dma_gbps must be positive, got {}", self.dma_gbps));
+        if !(self.dma_gbps.is_finite() && self.dma_gbps > 0.0) {
+            return Err(format!(
+                "dma_gbps must be finite and positive, got {}",
+                self.dma_gbps
+            ));
         }
         if let LookupKind::Associative { ways: 0 } = self.lookup {
             return Err("associative lookup needs at least one way".into());
@@ -116,6 +119,17 @@ mod tests {
         let c = NicConfig::default();
         assert!(c.validate().is_ok());
         assert_eq!(c.lookup, LookupKind::Associative { ways: 16 });
+    }
+
+    #[test]
+    fn dma_bandwidth_must_be_finite_and_positive() {
+        for dma_gbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let c = NicConfig {
+                dma_gbps,
+                ..NicConfig::default()
+            };
+            assert!(c.validate().is_err(), "{dma_gbps}");
+        }
     }
 
     #[test]

@@ -20,39 +20,31 @@ use crate::harness::{JobFailure, ScenarioParams, ScenarioResult, Workload};
 use gtn_core::config::ClusterConfig;
 use gtn_host::nbc::chunk_range;
 
-/// Run one ring AllGather, panicking on structured failure.
-pub fn run_with_config(
-    params: CollectiveParams,
-    mutate: impl FnOnce(&mut ClusterConfig),
-) -> CollectiveResult {
-    collective::run_with_config("allgather", Collective::RingAllgather, params, mutate)
-}
-
-/// Run one ring AllGather with structured failure reporting.
+/// Run one ring AllGather and check that every rank's chunk `c` is rank
+/// `c`'s input, untouched. Rejected params come back as
+/// [`JobFailure::Invalid`], a terminated run as [`JobFailure::Stalled`]
+/// and a wrong element as [`JobFailure::Diverged`].
 pub fn try_run_with_config(
     params: CollectiveParams,
     mutate: impl FnOnce(&mut ClusterConfig),
 ) -> Result<CollectiveResult, JobFailure> {
-    collective::try_run_with_config("allgather", Collective::RingAllgather, params, mutate)
-}
-
-/// Every rank's chunk `c` must be rank `c`'s input, untouched.
-fn check_gathered(r: &CollectiveResult, params: &CollectiveParams) -> Result<(), String> {
+    let r =
+        collective::try_run_with_config("allgather", Collective::RingAllgather, params, mutate)?;
     for (rank, v) in r.vectors.iter().enumerate() {
         for c in 0..params.nodes {
             let (off, len) = chunk_range(c, params.elems, params.nodes);
             for j in off..off + len {
                 let want = input_value(params.seed, c, j);
                 if v[j as usize] != want {
-                    return Err(format!(
-                        "rank {rank} chunk {c} element {j}: got {}, want {want}",
-                        v[j as usize]
-                    ));
+                    return Err(JobFailure::Diverged(format!(
+                        "{} rank {rank} chunk {c} element {j}: got {}, want {want}",
+                        params.strategy, v[j as usize]
+                    )));
                 }
             }
         }
     }
-    Ok(())
+    Ok(r)
 }
 
 /// Ring AllGather as a first-class workload.
@@ -71,30 +63,14 @@ impl Workload for Allgather {
             .seed(0xBEEF)
     }
 
-    fn verify(&self, params: &ScenarioParams) -> Result<ScenarioResult, String> {
-        let patch = params.patch;
+    fn run(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
         let cp = CollectiveParams {
             nodes: params.node_count(),
             elems: params.size,
             strategy: params.strategy,
             seed: params.seed,
         };
-        let r = run_with_config(cp, |config| patch.apply(config));
-        check_gathered(&r, &cp).map_err(|e| format!("{} {e}", params.strategy))?;
-        Ok(r.scenario)
-    }
-
-    fn run_lenient(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
-        let patch = params.patch;
-        let cp = CollectiveParams {
-            nodes: params.node_count(),
-            elems: params.size,
-            strategy: params.strategy,
-            seed: params.seed,
-        };
-        let r = try_run_with_config(cp, |config| patch.apply(config))?;
-        check_gathered(&r, &cp).expect("completed allgather run diverges");
-        Ok(r.scenario)
+        try_run_with_config(cp, |config| params.patch.apply(config)).map(|r| r.scenario)
     }
 }
 
@@ -112,8 +88,7 @@ mod tests {
                 strategy,
                 seed: 17,
             };
-            let r = run_with_config(cp, |_| {});
-            check_gathered(&r, &cp).unwrap();
+            try_run_with_config(cp, |_| {}).unwrap_or_else(|f| panic!("{strategy}: {f}"));
         }
     }
 
@@ -121,7 +96,7 @@ mod tests {
     fn workload_frame_verifies_the_smoke_scenario() {
         let w = Allgather;
         let p = w.smoke_scenario(Strategy::Gds);
-        let scenario = w.verify(&p).expect("smoke verifies");
+        let scenario = w.run(&p).expect("smoke verifies");
         assert_eq!(scenario.workload, "allgather");
     }
 }

@@ -136,8 +136,9 @@ pub fn run(params: AllreduceParams) -> AllreduceResult {
 
 /// Run one configuration, applying `mutate` to the cluster config after
 /// the workload's defaults are set (fault-injection studies hook in
-/// here). A run the failure detector or watchdog terminated comes back as
-/// `Err(JobFailure)`.
+/// here). Rejected params come back as [`JobFailure::Invalid`], a run the
+/// failure detector or watchdog terminated as [`JobFailure::Stalled`], and
+/// nodes that finish with different vectors as [`JobFailure::Diverged`].
 pub fn try_run_with_config(
     params: AllreduceParams,
     mutate: impl FnOnce(&mut ClusterConfig),
@@ -147,9 +148,10 @@ pub fn try_run_with_config(
 
 /// Run a rebuilt ring: `params.nodes` positions whose inputs are the
 /// original vectors of `ranks` (so a `p−1`-node ring of survivors reduces
-/// exactly the surviving contributions). `ranks.len()` must equal
-/// `params.nodes`. Verify against [`reference_ranks`] with the same list.
-pub fn run_with_ranks(
+/// exactly the surviving contributions); a list of another length than
+/// `params.nodes` is [`JobFailure::Invalid`]. Verify against
+/// [`reference_ranks`] with the same list.
+pub(crate) fn run_with_ranks(
     params: AllreduceParams,
     ranks: &[u32],
     mutate: impl FnOnce(&mut ClusterConfig),
@@ -175,10 +177,11 @@ fn run_ring(
     let bytes = params.elems * 4;
     let v0 = mem.read(vecs[0], bytes);
     for (node, &v) in vecs.iter().enumerate().skip(1) {
-        assert!(
-            mem.read(v, bytes) == v0,
-            "node {node} disagrees with node 0"
-        );
+        if mem.read(v, bytes) != v0 {
+            return Err(JobFailure::Diverged(format!(
+                "node {node} disagrees with node 0"
+            )));
+        }
     }
     Ok(AllreduceResult {
         scenario,
@@ -186,61 +189,30 @@ fn run_ring(
     })
 }
 
-/// The [`collective`] schedule family behind a scenario variant.
-fn variant_kind(variant: u32) -> Collective {
-    match variant {
+/// Run the [`collective`] schedule family behind `params.variant` and
+/// check every rank against the lock-step replay, bit for bit.
+fn run_variant(name: &'static str, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
+    let kind = match params.variant {
         0 => Collective::RingAllreduce,
         1 => Collective::TreeAllreduce,
         2 => Collective::HierAllreduce { group_size: 0 },
-        v => panic!("unknown allreduce variant {v}"),
-    }
-}
-
-fn collective_params(params: &ScenarioParams) -> CollectiveParams {
-    CollectiveParams {
+        v => return Err(JobFailure::Invalid(format!("unknown {name} variant {v}"))),
+    };
+    let cp = CollectiveParams {
         nodes: params.node_count(),
         elems: params.size,
         strategy: params.strategy,
         seed: params.seed,
+    };
+    let r = collective::try_run_with_config(name, kind, cp, |config| params.patch.apply(config))?;
+    let expect = collective::reference(kind, cp.nodes, cp.elems, cp.seed);
+    match r.vectors.iter().zip(&expect).position(|(v, e)| v != e) {
+        Some(rank) => Err(JobFailure::Diverged(format!(
+            "{} {kind:?} rank {rank} differs from the lock-step replay",
+            params.strategy
+        ))),
+        None => Ok(r.scenario),
     }
-}
-
-/// Strict verification of a variant: every rank must reproduce the
-/// lock-step replay bit-for-bit.
-fn verify_variant(name: &'static str, params: &ScenarioParams) -> Result<ScenarioResult, String> {
-    let patch = params.patch;
-    let kind = variant_kind(params.variant);
-    let r = collective::run_with_config(name, kind, collective_params(params), |config| {
-        patch.apply(config)
-    });
-    let expect = collective::reference(kind, params.node_count(), params.size, params.seed);
-    for (rank, v) in r.vectors.iter().enumerate() {
-        if v != &expect[rank] {
-            return Err(format!(
-                "{} rank {rank} diverges from the lock-step replay",
-                params.strategy
-            ));
-        }
-    }
-    Ok(r.scenario)
-}
-
-/// Lenient run of a variant: structured failures pass through, completed
-/// runs must still be bit-exact.
-fn run_variant_lenient(
-    name: &'static str,
-    params: &ScenarioParams,
-) -> Result<ScenarioResult, JobFailure> {
-    let patch = params.patch;
-    let kind = variant_kind(params.variant);
-    let r = collective::try_run_with_config(name, kind, collective_params(params), |config| {
-        patch.apply(config)
-    })?;
-    let expect = collective::reference(kind, params.node_count(), params.size, params.seed);
-    for (rank, v) in r.vectors.iter().enumerate() {
-        assert_eq!(v, &expect[rank], "completed {kind:?} run diverges");
-    }
-    Ok(r.scenario)
 }
 
 /// Fig. 10's workload, adapted to the shared [`Workload`] frame.
@@ -263,12 +235,8 @@ impl Workload for Allreduce {
             .seed(0xBEEF)
     }
 
-    fn verify(&self, params: &ScenarioParams) -> Result<ScenarioResult, String> {
-        verify_variant(self.name(), params)
-    }
-
-    fn run_lenient(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
-        run_variant_lenient(self.name(), params)
+    fn run(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
+        run_variant(self.name(), params)
     }
 }
 
@@ -292,14 +260,14 @@ impl Workload for HierAllreduce {
             .variant(2)
     }
 
-    fn verify(&self, params: &ScenarioParams) -> Result<ScenarioResult, String> {
-        assert_eq!(params.variant, 2, "allreduce_hier is variant 2");
-        verify_variant(self.name(), params)
-    }
-
-    fn run_lenient(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
-        assert_eq!(params.variant, 2, "allreduce_hier is variant 2");
-        run_variant_lenient(self.name(), params)
+    fn run(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
+        if params.variant != 2 {
+            return Err(JobFailure::Invalid(format!(
+                "allreduce_hier is variant 2, got {}",
+                params.variant
+            )));
+        }
+        run_variant(self.name(), params)
     }
 }
 

@@ -3,21 +3,22 @@
 //!
 //! A *chaos cell* is a [`ScenarioParams`] whose [`ConfigPatch`] carries a
 //! crash injection (and usually arms the failure detector with a
-//! [`RecoveryPolicy`]). [`run_cell`] executes the cell leniently, then
-//! interprets the outcome:
+//! [`RecoveryPolicy`]). [`run_cell`] runs the cell through
+//! [`Workload::run`], then interprets the outcome:
 //!
 //! - **Completed** — the crash never bit (it landed after the workload
 //!   finished, or severed a link the schedule doesn't use). The result is
 //!   verified like any healthy run.
-//! - **Aborted** — the run terminated with a structured [`JobFailure`]
+//! - **Aborted** — the run terminated with [`JobFailure::Stalled`]
 //!   (`PeerDead` from the detector, or a watchdog diagnosis when detection
 //!   is off) and the policy is [`RecoveryPolicy::Abort`]: the failure *is*
 //!   the result.
-//! - **Recovered** — the policy re-ran the work around the failure:
+//! - **Recovered** — the policy re-ran the work around the failure, as the
+//!   workload's [`Recoverable`] impl says:
 //!   - [`RecoveryPolicy::CheckpointRestart`] restarts from the last
 //!     checkpoint on a clean cluster (the crashed component rebooted).
 //!     Jacobi checkpoints its interiors at the halfway sweep and replays
-//!     the remainder through [`crate::jacobi::run_from_checkpoint`];
+//!     the remainder through `jacobi::run_from_checkpoint`;
 //!     workloads whose inputs are regenerable (allreduce, pingpong) treat
 //!     the inputs as the checkpoint and re-run in full.
 //!   - [`RecoveryPolicy::RebuildCollective`] re-forms the allreduce ring
@@ -35,12 +36,16 @@
 //!     the end-to-end detector still fires and the cell reports `Aborted`
 //!     — route-around cannot invent wires.
 //!
+//! A cell that cannot reach a verdict — invalid params, a result that
+//! diverges from its reference, a recovery run that fails — returns its
+//! [`JobFailure`] instead: chaos may fail a run, it may not corrupt one.
+//!
 //! Every quantity in the [`ChaosReport`] is an integer, so the chaos
 //! campaign bench can emit it into byte-identical JSON.
 
-use crate::allreduce::{self, AllreduceParams};
+use crate::allreduce::{self, Allreduce, AllreduceParams};
 use crate::harness::{JobFailure, ScenarioParams, ScenarioResult, Workload};
-use crate::jacobi::{self, JacobiParams};
+use crate::jacobi::{self, Jacobi, JacobiParams};
 use crate::pingpong::Pingpong;
 use gtn_core::scenario::ConfigPatch;
 use gtn_core::RecoveryPolicy;
@@ -96,8 +101,8 @@ pub struct ChaosReport {
     /// (`0` unless the patch armed failover and a withdrawal bit).
     pub reroutes: u64,
     /// Whether the surviving result verified against its reference. Always
-    /// `true` for completed/recovered verdicts (mismatches panic — chaos
-    /// may fail a run, it may not corrupt one); `false` for aborts.
+    /// `true` for completed/recovered verdicts (a mismatch is an `Err`, not
+    /// a verdict); `false` for aborts.
     pub verified: bool,
     /// The rendered [`JobFailure`] of the terminated run, when there was
     /// one.
@@ -109,34 +114,86 @@ fn ns_of(t: gtn_sim::time::SimTime) -> u64 {
     t.as_ps() / 1000
 }
 
-/// The patch a recovery run uses: same loss/pressure environment, but the
-/// crashed component rebooted (no crash) and detection disarmed (the
-/// recovery run is measured, not chaos-tested).
-fn recovery_patch(patch: ConfigPatch) -> ConfigPatch {
-    ConfigPatch {
-        crash: None,
-        detect: None,
-        ..patch
+/// A workload a chaos cell can run: [`Workload::run`] for the injected
+/// run, and the re-run each recovery policy makes on a clean cluster. The
+/// defaults suit workloads whose inputs are regenerable: the inputs are
+/// the checkpoint, so both policies re-run the work in full.
+pub trait Recoverable: Workload {
+    /// Checkpoint-restart under `clean` (the crashed component rebooted),
+    /// verified against the full run's reference.
+    fn restart(&self, clean: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
+        self.run(clean)
+    }
+
+    /// Rebuild-collective without `culprit`. The default has no smaller
+    /// shape to re-form, so it restarts from the checkpoint.
+    fn rebuild(&self, clean: &ScenarioParams, culprit: u32) -> Result<ScenarioResult, JobFailure> {
+        let _ = culprit;
+        self.restart(clean)
     }
 }
 
-/// Run one chaos cell: execute `workload` under `params` (whose patch
-/// carries the injection), and apply the patch's recovery policy to the
-/// outcome. `workload` is a [`crate::harness::all_workloads`] name.
-///
-/// # Panics
-/// Panics on an unknown workload name, or if a completed/recovered run
-/// fails verification (corruption is a bug, not a failure scenario).
-pub fn run_cell(params: &ScenarioParams, workload: &str) -> ChaosReport {
-    let outcome = match workload {
-        "pingpong" => Pingpong.run_lenient(params),
-        "jacobi" => jacobi::Jacobi.run_lenient(params),
-        "allreduce" => allreduce::Allreduce.run_lenient(params),
-        other => panic!("unknown chaos workload {other:?}"),
-    };
+impl Recoverable for Pingpong {}
+
+/// Jacobi restarts from its halfway-sweep checkpoint (the interiors the
+/// surviving nodes would have persisted) and replays the remaining sweeps,
+/// verified bit-exactly against the full-run reference.
+impl Recoverable for Jacobi {
+    fn restart(&self, clean: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
+        let full = JacobiParams::new(
+            clean.rows,
+            clean.cols,
+            clean.size as u32,
+            clean.iters,
+            clean.strategy,
+            clean.seed,
+        );
+        let ckpt = full.iters / 2;
+        let snapshot = jacobi::reference(full.rows, full.cols, full.n_local, ckpt, full.seed);
+        let rest = JacobiParams {
+            iters: full.iters - ckpt,
+            ..full
+        };
+        let r = jacobi::run_from_checkpoint(rest, &snapshot, |config| clean.patch.apply(config))?;
+        jacobi::check(&r, &full)?;
+        Ok(r.scenario)
+    }
+}
+
+/// Allreduce re-forms its ring from the survivors and reduces exactly
+/// their contributions; a ring of three or fewer restarts instead.
+impl Recoverable for Allreduce {
+    fn rebuild(&self, clean: &ScenarioParams, culprit: u32) -> Result<ScenarioResult, JobFailure> {
+        if clean.node_count() <= 3 {
+            return self.restart(clean);
+        }
+        let survivors: Vec<u32> = (0..clean.node_count()).filter(|&n| n != culprit).collect();
+        let ap = AllreduceParams::new(
+            survivors.len() as u32,
+            clean.size,
+            clean.strategy,
+            clean.seed,
+        );
+        let r = allreduce::run_with_ranks(ap, &survivors, |config| clean.patch.apply(config))?;
+        if r.result != allreduce::reference_ranks(&survivors, clean.size, clean.seed) {
+            return Err(JobFailure::Diverged(format!(
+                "the rebuilt {}-node ring",
+                survivors.len()
+            )));
+        }
+        Ok(r.scenario)
+    }
+}
+
+/// Run one chaos cell: run `workload` under `params` (whose patch carries
+/// the injection), and apply the patch's recovery policy to the outcome.
+pub fn run_cell(
+    params: &ScenarioParams,
+    workload: &dyn Recoverable,
+) -> Result<ChaosReport, JobFailure> {
     let injected_ns = injection_onset_ns(&params.patch);
     let policy = params.patch.detect.unwrap_or(RecoveryPolicy::Abort);
-    let failure = match outcome {
+    let failure = match workload.run(params) {
         Ok(result) => {
             // A completed run under `RouteAround` whose fabric actually
             // rewired routes *is* the recovery: the work finished over the
@@ -147,7 +204,7 @@ pub fn run_cell(params: &ScenarioParams, workload: &str) -> ChaosReport {
             } else {
                 Verdict::Completed
             };
-            return ChaosReport {
+            return Ok(ChaosReport {
                 verdict,
                 detect_ns: 0,
                 suspect_ns: 0,
@@ -158,52 +215,59 @@ pub fn run_cell(params: &ScenarioParams, workload: &str) -> ChaosReport {
                 reroutes,
                 verified: true,
                 failure: None,
-            };
+            });
         }
         Err(failure) => failure,
     };
-    let detect_ns = ns_of(failure.report.at);
-    let suspect_ns = failure.suspect_ns.unwrap_or(0);
-    let recovered = match policy {
-        RecoveryPolicy::Abort => None,
-        // Failover was armed but the run still died: the withdrawal left
-        // the pair partitioned (no surviving path). The structured abort
-        // is the honest verdict — route-around cannot invent wires.
-        RecoveryPolicy::RouteAround => None,
-        RecoveryPolicy::CheckpointRestart => Some(recover_checkpoint(params, workload)),
-        RecoveryPolicy::RebuildCollective => Some(match workload {
-            "allreduce" if params.node_count() > 3 => recover_rebuild(params),
-            // A 2-node pair or a fixed grid decomposition has no smaller
-            // ring to re-form; restart from the checkpoint instead.
-            _ => recover_checkpoint(params, workload),
-        }),
+    let JobFailure::Stalled {
+        ref report,
+        events,
+        suspect_ns,
+    } = failure
+    else {
+        return Err(failure);
     };
-    match recovered {
-        None => ChaosReport {
-            verdict: Verdict::Aborted,
-            detect_ns,
-            suspect_ns,
-            injected_ns,
-            recovery_ns: 0,
-            total_ns: detect_ns,
-            events: failure.events,
-            reroutes: 0,
-            verified: false,
-            failure: Some(failure.to_string()),
+    let detect_ns = ns_of(report.at);
+    // The recovery run's environment: same loss/pressure, but the crashed
+    // component rebooted (no crash) and detection disarmed (the recovery
+    // run is measured, not chaos-tested).
+    let clean = ScenarioParams {
+        patch: ConfigPatch {
+            crash: None,
+            detect: None,
+            ..params.patch
         },
-        Some(recovery) => ChaosReport {
-            verdict: Verdict::Recovered,
-            detect_ns,
-            suspect_ns,
-            injected_ns,
-            recovery_ns: recovery,
-            total_ns: detect_ns + recovery,
-            events: failure.events,
-            reroutes: 0,
-            verified: true,
-            failure: Some(failure.to_string()),
-        },
-    }
+        ..*params
+    };
+    let recovery = match (policy, params.patch.crash) {
+        // Under route-around, failover was armed but the run still died:
+        // the withdrawal left the pair partitioned (no surviving path).
+        // The structured abort is the honest verdict — route-around cannot
+        // invent wires.
+        (RecoveryPolicy::Abort | RecoveryPolicy::RouteAround, _) => None,
+        (RecoveryPolicy::RebuildCollective, Some(crash)) => {
+            Some(workload.rebuild(&clean, crash.culprit())?)
+        }
+        (RecoveryPolicy::CheckpointRestart | RecoveryPolicy::RebuildCollective, _) => {
+            Some(workload.restart(&clean)?)
+        }
+    };
+    let (verdict, recovery_ns) = match recovery {
+        Some(r) => (Verdict::Recovered, ns_of(r.total)),
+        None => (Verdict::Aborted, 0),
+    };
+    Ok(ChaosReport {
+        verdict,
+        detect_ns,
+        suspect_ns: suspect_ns.unwrap_or(0),
+        injected_ns,
+        recovery_ns,
+        total_ns: detect_ns + recovery_ns,
+        events,
+        reroutes: 0,
+        verified: verdict == Verdict::Recovered,
+        failure: Some(failure.to_string()),
+    })
 }
 
 /// When the cell's injected fault starts to bite: the crash instant, or
@@ -220,76 +284,6 @@ fn injection_onset_ns(patch: &ConfigPatch) -> u64 {
     }
 }
 
-/// Checkpoint-restart recovery. Returns the recovery run's total ns.
-///
-/// Jacobi restarts from its halfway-sweep checkpoint (the interiors the
-/// surviving nodes would have persisted) and replays the remaining sweeps
-/// on a clean cluster, verified bit-exactly against the full-run
-/// reference. Allreduce and pingpong regenerate their inputs (the inputs
-/// *are* the checkpoint) and re-run in full.
-fn recover_checkpoint(params: &ScenarioParams, workload: &str) -> u64 {
-    let patch = recovery_patch(params.patch);
-    match workload {
-        "jacobi" => {
-            let ckpt = params.iters / 2;
-            let n = params.size as u32;
-            let snapshot = jacobi::reference(params.rows, params.cols, n, ckpt, params.seed);
-            let jp = JacobiParams::new(
-                params.rows,
-                params.cols,
-                n,
-                params.iters - ckpt,
-                params.strategy,
-                params.seed,
-            );
-            let r = jacobi::run_from_checkpoint(jp, &snapshot, |config| patch.apply(config))
-                .unwrap_or_else(|f| panic!("jacobi recovery run failed\n{f}"));
-            let expect = jacobi::reference(params.rows, params.cols, n, params.iters, params.seed);
-            assert_eq!(r.interiors, expect, "checkpoint restart diverges");
-            ns_of(r.scenario.total)
-        }
-        _ => {
-            let clean = ScenarioParams { patch, ..*params };
-            let result = rerun_clean(&clean, workload);
-            ns_of(result.total)
-        }
-    }
-}
-
-/// Rebuild-collective recovery for allreduce: re-form the ring from the
-/// survivors and reduce exactly their contributions. Returns the recovery
-/// run's total ns.
-fn recover_rebuild(params: &ScenarioParams) -> u64 {
-    let crash = params
-        .patch
-        .crash
-        .expect("rebuild recovery requires a crash cell");
-    let culprit = crash.culprit();
-    let survivors: Vec<u32> = (0..params.node_count()).filter(|&n| n != culprit).collect();
-    let patch = recovery_patch(params.patch);
-    let ap = AllreduceParams::new(
-        survivors.len() as u32,
-        params.size,
-        params.strategy,
-        params.seed,
-    );
-    let r = allreduce::run_with_ranks(ap, &survivors, |config| patch.apply(config))
-        .unwrap_or_else(|f| panic!("allreduce rebuild run failed\n{f}"));
-    let expect = allreduce::reference_ranks(&survivors, params.size, params.seed);
-    assert_eq!(r.result, expect, "rebuilt ring diverges");
-    ns_of(r.scenario.total)
-}
-
-/// A clean (crash-free) re-run of `workload`, which must complete.
-fn rerun_clean(params: &ScenarioParams, workload: &str) -> ScenarioResult {
-    let lenient: Result<ScenarioResult, JobFailure> = match workload {
-        "pingpong" => Pingpong.run_lenient(params),
-        "allreduce" => allreduce::Allreduce.run_lenient(params),
-        other => panic!("no clean-rerun recovery for {other:?}"),
-    };
-    lenient.unwrap_or_else(|f| panic!("{workload} recovery run failed\n{f}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,7 +296,7 @@ mod tests {
             .size(256)
             .seed(7)
             .patch(ConfigPatch::NONE.with_detection(RecoveryPolicy::Abort));
-        let report = run_cell(&params, "allreduce");
+        let report = run_cell(&params, &Allreduce).expect("verdict");
         assert_eq!(report.verdict, Verdict::Completed);
         assert!(report.verified);
         assert_eq!(report.detect_ns, 0);
@@ -317,7 +311,7 @@ mod tests {
             .size(64 * 1024)
             .seed(7)
             .patch(ConfigPatch::crash_node(2, 50_000).with_detection(RecoveryPolicy::Abort));
-        let report = run_cell(&params, "allreduce");
+        let report = run_cell(&params, &Allreduce).expect("verdict");
         assert_eq!(report.verdict, Verdict::Aborted);
         assert!(!report.verified);
         assert!(report.detect_ns > 50_000, "{}", report.detect_ns);
@@ -362,14 +356,14 @@ mod tests {
         };
         // Same injection, policy the only variable: route-around completes
         // the collective over the surviving wires...
-        let survived = run_cell(&cell(RecoveryPolicy::RouteAround), "allreduce");
+        let survived = run_cell(&cell(RecoveryPolicy::RouteAround), &Allreduce).expect("verdict");
         assert_eq!(survived.verdict, Verdict::Recovered, "{survived:?}");
         assert!(survived.verified);
         assert!(survived.reroutes > 0, "{survived:?}");
         assert_eq!(survived.recovery_ns, 0, "no re-run: the fabric healed");
         assert!(survived.failure.is_none());
         // ...while Abort rides the dead wire into a PeerDead verdict.
-        let aborted = run_cell(&cell(RecoveryPolicy::Abort), "allreduce");
+        let aborted = run_cell(&cell(RecoveryPolicy::Abort), &Allreduce).expect("verdict");
         assert_eq!(aborted.verdict, Verdict::Aborted, "{aborted:?}");
         let failure = aborted.failure.expect("aborts carry the failure");
         assert!(failure.contains("declared dead"), "{failure}");
@@ -388,7 +382,7 @@ mod tests {
             .patch(
                 ConfigPatch::crash_edge(2, 4, 20_000).with_detection(RecoveryPolicy::RouteAround),
             );
-        let report = run_cell(&params, "allreduce");
+        let report = run_cell(&params, &Allreduce).expect("verdict");
         assert_eq!(report.verdict, Verdict::Aborted, "{report:?}");
         assert!(!report.verified);
         assert!(report.failure.is_some());
@@ -404,7 +398,7 @@ mod tests {
                 ConfigPatch::crash_node(2, 50_000)
                     .with_detection(RecoveryPolicy::RebuildCollective),
             );
-        let report = run_cell(&params, "allreduce");
+        let report = run_cell(&params, &Allreduce).expect("verdict");
         assert_eq!(report.verdict, Verdict::Recovered);
         assert!(report.verified);
         assert!(report.recovery_ns > 0);
@@ -421,7 +415,7 @@ mod tests {
             .patch(
                 ConfigPatch::crash_node(3, 2_000).with_detection(RecoveryPolicy::CheckpointRestart),
             );
-        let report = run_cell(&params, "jacobi");
+        let report = run_cell(&params, &Jacobi).expect("verdict");
         assert_eq!(report.verdict, Verdict::Recovered);
         assert!(report.verified);
         assert!(report.recovery_ns > 0);

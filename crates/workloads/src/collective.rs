@@ -466,19 +466,10 @@ pub fn reference(kind: Collective, nodes: u32, elems: u64, seed: u64) -> Vec<Vec
     replay(&kind.schedules(nodes), inputs)
 }
 
-/// Run `kind`, panicking on structured failure.
-pub fn run_with_config(
-    name: &'static str,
-    kind: Collective,
-    params: CollectiveParams,
-    mutate: impl FnOnce(&mut ClusterConfig),
-) -> CollectiveResult {
-    try_run_with_config(name, kind, params, mutate)
-        .unwrap_or_else(|failure| panic!("{name} did not complete\n{failure}"))
-}
-
-/// Run `kind` with structured failure: a run the failure detector or
-/// watchdog terminated comes back as `Err(JobFailure)`.
+/// Run `kind`, applying `mutate` to the cluster config after the
+/// executor's defaults are set. Rejected params or config come back as
+/// [`JobFailure::Invalid`], a run the failure detector or watchdog
+/// terminated as [`JobFailure::Stalled`].
 pub fn try_run_with_config(
     name: &'static str,
     kind: Collective,
@@ -504,14 +495,34 @@ pub(crate) fn execute(
     mutate: impl FnOnce(&mut ClusterConfig),
 ) -> Result<(Cluster, Vec<Addr>, ScenarioResult), JobFailure> {
     let p = params.nodes;
-    assert!(p >= 2, "collectives need at least 2 nodes");
+    let invalid = |why: String| Err(JobFailure::Invalid(why));
+    if p < 2 {
+        return invalid(format!("collectives need at least 2 nodes, got {p}"));
+    }
+    match kind {
+        Collective::RhdAllreduce if !p.is_power_of_two() => {
+            return invalid(format!(
+                "halving-doubling needs a power-of-two node count, got {p}"
+            ));
+        }
+        Collective::HierAllreduce { group_size }
+            if group_size != 0 && !p.is_multiple_of(group_size) =>
+        {
+            return invalid(format!("group size {group_size} does not divide {p} nodes"));
+        }
+        _ => {}
+    }
     if let Some(map) = ranks {
-        assert_eq!(map.len(), p as usize, "one original rank per position");
+        if map.len() != p as usize {
+            return invalid(format!("{} original ranks for {p} positions", map.len()));
+        }
     }
     let schedules = kind.schedules(p);
     let nc = schedules[0].n_chunks;
     let rcount = schedules[0].rounds.len();
-    assert!(params.elems >= nc as u64, "fewer elements than chunks");
+    if params.elems < nc as u64 {
+        return invalid(format!("{} elements cannot fill {nc} chunks", params.elems));
+    }
 
     let mut config = ClusterConfig::table2(p);
     config.log_events = false;
@@ -521,6 +532,7 @@ pub(crate) fn execute(
     config.gpu.poll_interval_ns = 500;
     config.host.poll_interval_ns = 500;
     mutate(&mut config);
+    config.validate().map_err(JobFailure::Invalid)?;
 
     let plans: Vec<NodePlan> = schedules
         .iter()
@@ -898,7 +910,7 @@ mod tests {
             let (nodes, elems, seed) = (4u32, 256u64, 0xC0FFEE);
             let expect = reference(kind, nodes, elems, seed);
             for strategy in Strategy::all() {
-                let r = run_with_config(
+                let r = try_run_with_config(
                     "collective_test",
                     kind,
                     CollectiveParams {
@@ -908,7 +920,8 @@ mod tests {
                         seed,
                     },
                     |_| {},
-                );
+                )
+                .unwrap_or_else(|f| panic!("{kind:?} {strategy}: {f}"));
                 for (rank, v) in r.vectors.iter().enumerate() {
                     assert_eq!(v, &expect[rank], "{kind:?} {strategy} rank {rank}");
                 }
@@ -926,7 +939,7 @@ mod tests {
         ] {
             let expect = reference(kind, nodes, elems, 11);
             for strategy in [Strategy::Cpu, Strategy::GpuTn] {
-                let r = run_with_config(
+                let r = try_run_with_config(
                     "collective_test",
                     kind,
                     CollectiveParams {
@@ -936,7 +949,8 @@ mod tests {
                         seed: 11,
                     },
                     |_| {},
-                );
+                )
+                .unwrap_or_else(|f| panic!("{kind:?} {strategy}: {f}"));
                 for (rank, v) in r.vectors.iter().enumerate() {
                     assert_eq!(v, &expect[rank], "{kind:?} {strategy} rank {rank}");
                 }

@@ -1,15 +1,21 @@
 //! The workload harness: one parameter vocabulary, one result shape, one
-//! execution path for every evaluation workload.
+//! way to run a workload and one error for every way a run can fail.
 //!
 //! The vocabulary types — [`ScenarioParams`], [`ScenarioResult`], and
 //! [`ConfigPatch`] — live in [`gtn_core::scenario`] and are re-exported
 //! here. This module adds what is workload-shaped:
 //!
-//! - [`Workload`] — the trait the four workloads implement, which is what
-//!   lets one generic invariant test suite (and one strategy-subset bench
-//!   filter) drive all of them.
-//! - [`Harness`] — cluster execution (build → run → assert completion →
-//!   collect) plus the `GTN_STRATEGIES` env filter benches use to run a
+//! - [`Workload`] — the trait the evaluation workloads implement. Its one
+//!   runner, [`Workload::run`], builds the scenario, runs it and checks the
+//!   output against the workload's reference, which is what lets one
+//!   generic invariant test suite (and one strategy-subset bench filter)
+//!   drive all of them.
+//! - [`JobFailure`] — the error every runner returns: the input was
+//!   [`Invalid`](JobFailure::Invalid), the run
+//!   [`Stalled`](JobFailure::Stalled), or its output
+//!   [`Diverged`](JobFailure::Diverged) from the reference.
+//! - [`Harness`] — cluster execution (build → run → collect, or the stall
+//!   diagnosis) plus the `GTN_STRATEGIES` env filter benches use to run a
 //!   strategy subset.
 
 use gtn_core::cluster::Cluster;
@@ -21,28 +27,45 @@ use std::fmt;
 
 pub use gtn_core::scenario::{ConfigPatch, ResourceLimits, ScenarioParams, ScenarioResult};
 
-/// A run that terminated without completing: the structured diagnosis plus
-/// the event cost of finding out. This is the *expected* outcome of a
-/// chaos scenario under the `Abort` recovery policy — a crash-stop failure
-/// surfaces as data, not as a panic or a hang.
+/// Why a workload run produced no result. Every runner returns it, so bad
+/// input, a stuck run and a wrong answer each surface as data, never as a
+/// panic or a hang.
 #[derive(Debug, Clone)]
-pub struct JobFailure {
-    /// Who is stuck, on what, and why the loop stopped (e.g.
-    /// [`gtn_core::StallReason::PeerDead`] naming the culprit).
-    pub report: StallReport,
-    /// Events the engine processed before giving up (the liveness
-    /// contract: bounded, never a hang).
-    pub events: u64,
-    /// When the failure detector first saw a peer leave `Alive`, sim ns
-    /// (`None` when detection is off or nothing was ever suspected). With
-    /// the report's termination time this gives the
-    /// `injection → suspect → dead` detection-latency timeline.
-    pub suspect_ns: Option<u64>,
+pub enum JobFailure {
+    /// The params or the cluster config were rejected before any memory
+    /// or program was built (a 1-node ring, fewer elements than chunks, a
+    /// zero poll interval, …).
+    Invalid(String),
+    /// The run terminated without completing. This is the *expected*
+    /// outcome of a chaos scenario under the `Abort` recovery policy: a
+    /// crash-stop failure surfaces as the structured diagnosis plus the
+    /// event cost of finding out.
+    Stalled {
+        /// Who is stuck, on what, and why the loop stopped (e.g.
+        /// [`gtn_core::StallReason::PeerDead`] naming the culprit).
+        report: StallReport,
+        /// Events the engine processed before giving up (the liveness
+        /// contract: bounded, never a hang).
+        events: u64,
+        /// When the failure detector first saw a peer leave `Alive`, sim
+        /// ns (`None` when detection is off or nothing was ever
+        /// suspected). With the report's termination time this gives the
+        /// `injection → suspect → dead` detection-latency timeline.
+        suspect_ns: Option<u64>,
+    },
+    /// A completed run's output differs from its reference computation.
+    Diverged(String),
 }
 
 impl fmt::Display for JobFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} (after {} events)", self.report, self.events)
+        match self {
+            JobFailure::Invalid(why) => write!(f, "invalid scenario: {why}"),
+            JobFailure::Stalled { report, events, .. } => {
+                write!(f, "{report} (after {events} events)")
+            }
+            JobFailure::Diverged(what) => write!(f, "result diverges from its reference: {what}"),
+        }
     }
 }
 
@@ -52,7 +75,8 @@ impl fmt::Display for JobFailure {
 pub const STRATEGIES_ENV: &str = "GTN_STRATEGIES";
 
 /// A paper evaluation workload, drivable generically: the invariant test
-/// suite and the strategy-filtered benches only speak this trait.
+/// suite, the chaos cells and the strategy-filtered benches only speak
+/// this trait.
 pub trait Workload {
     /// Short name used in results and failure messages.
     fn name(&self) -> &'static str;
@@ -68,29 +92,12 @@ pub trait Workload {
     /// qualitative orderings (GPU-TN ≤ GDS ≤ HDN) are expected to hold.
     fn smoke_scenario(&self, strategy: Strategy) -> ScenarioParams;
 
-    /// Run one scenario, returning the unified result. The default runs
-    /// the verifying path and panics on a functional mismatch — sim-time
-    /// results are identical either way, so only workloads with a cheaper
-    /// unverified path need to override.
-    fn run_scenario(&self, params: &ScenarioParams) -> ScenarioResult {
-        self.verify(params)
-            .unwrap_or_else(|e| panic!("{} failed verification: {e}", self.name()))
-    }
-
-    /// Run one scenario *and* check functional correctness against the
-    /// workload's reference computation, describing any mismatch.
-    fn verify(&self, params: &ScenarioParams) -> Result<ScenarioResult, String>;
-
-    /// Run one scenario tolerating structured failure: `Ok` carries a
-    /// completed (and, where the workload supports it, verified) result;
-    /// `Err` carries the [`JobFailure`] of a run the failure detector or
-    /// watchdog terminated. A functional mismatch on a *completed* run
-    /// still panics — that is a bug, not a failure scenario. The default
-    /// covers workloads without crash scenarios (the launch study) by
-    /// delegating to the strict path.
-    fn run_lenient(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
-        Ok(self.run_scenario(params))
-    }
+    /// Run one scenario and check its output against the workload's
+    /// reference computation. `Ok` carries a completed, verified result;
+    /// `Err` says whether the params were [`JobFailure::Invalid`], the run
+    /// [`JobFailure::Stalled`] (a crash under the failure detector, or a
+    /// watchdog diagnosis), or a completed run [`JobFailure::Diverged`].
+    fn run(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure>;
 }
 
 /// Every [`Workload`] the evaluation drives, in figure order.
@@ -142,30 +149,10 @@ impl Harness {
             .collect())
     }
 
-    /// Build the cluster, run it to completion, and snapshot the unified
-    /// result. Panics with the rendered [`StallReport`] if the run does
-    /// not complete — the failure message reads like a diagnosis, not a
-    /// debug dump.
-    pub fn execute(
-        workload: &'static str,
-        params: &ScenarioParams,
-        config: ClusterConfig,
-        mem: MemPool,
-        programs: Vec<HostProgram>,
-    ) -> (Cluster, ScenarioResult) {
-        match Self::try_execute(workload, params, config, mem, programs) {
-            Ok(done) => done,
-            Err(failure) => panic!(
-                "{workload} {} P={} did not complete\n{failure}",
-                params.strategy,
-                params.node_count()
-            ),
-        }
-    }
-
-    /// [`Harness::execute`] without the completion assertion: an
-    /// uncompleted run comes back as a structured [`JobFailure`] for the
-    /// chaos/recovery layers to interpret.
+    /// Build the cluster, run it, and snapshot the unified result. An
+    /// uncompleted run comes back as [`JobFailure::Stalled`] for the
+    /// chaos/recovery layers to interpret; its rendered report reads like a
+    /// diagnosis, not a debug dump. The caller has validated `config`.
     pub fn try_execute(
         workload: &'static str,
         params: &ScenarioParams,
@@ -180,7 +167,7 @@ impl Harness {
                 .stall
                 .clone()
                 .expect("uncompleted runs carry a stall report");
-            return Err(JobFailure {
+            return Err(JobFailure::Stalled {
                 report,
                 events: result.events,
                 suspect_ns: cluster.first_suspect().map(|(_, at)| at.as_ps() / 1000),

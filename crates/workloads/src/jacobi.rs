@@ -294,25 +294,19 @@ fn put_for(
     }
 }
 
-/// Run one configuration with the default (lossless) cluster config.
+/// Run one configuration with the default (lossless) cluster config,
+/// panicking if it fails.
 pub fn run(params: JacobiParams) -> JacobiResult {
-    run_with_config(params, |_| {})
+    try_run_with_config(params, |_| {})
+        .unwrap_or_else(|failure| panic!("jacobi did not complete\n{failure}"))
 }
 
 /// Run one configuration, applying `mutate` to the cluster config after the
 /// workload's defaults are set. The fault-tolerance studies use this to
 /// inject seeded loss and enable the NIC reliability layer without
-/// disturbing the lossless default path.
-pub fn run_with_config(
-    params: JacobiParams,
-    mutate: impl FnOnce(&mut ClusterConfig),
-) -> JacobiResult {
-    run_inner(params, None, mutate)
-        .unwrap_or_else(|failure| panic!("jacobi did not complete\n{failure}"))
-}
-
-/// [`run_with_config`] with structured failure: a run the failure detector
-/// or watchdog terminated comes back as `Err(JobFailure)`.
+/// disturbing the lossless default path. Rejected params come back as
+/// [`JobFailure::Invalid`], a run the failure detector or watchdog
+/// terminated as [`JobFailure::Stalled`].
 pub fn try_run_with_config(
     params: JacobiParams,
     mutate: impl FnOnce(&mut ClusterConfig),
@@ -325,7 +319,7 @@ pub fn try_run_with_config(
 /// [`JacobiResult::interiors`] reports them) instead of the seeded initial
 /// grid, then run `params.iters` further sweeps. The checkpoint-restart
 /// recovery policy re-runs the remaining iterations through here.
-pub fn run_from_checkpoint(
+pub(crate) fn run_from_checkpoint(
     params: JacobiParams,
     initial: &[Vec<f32>],
     mutate: impl FnOnce(&mut ClusterConfig),
@@ -340,9 +334,24 @@ fn run_inner(
 ) -> Result<JacobiResult, JobFailure> {
     let n = params.n_local as u64;
     let nodes = params.nodes();
-    assert!(n >= 2, "grid too small");
-    assert!(params.iters >= 1);
-    assert!(nodes >= 2, "need at least two nodes for an exchange");
+    let invalid = |why: String| Err(JobFailure::Invalid(why));
+    if n < 2 {
+        return invalid(format!("local grid edge {n} is below 2"));
+    }
+    if params.iters == 0 {
+        return invalid("Jacobi needs at least one sweep".into());
+    }
+    if nodes < 2 {
+        return invalid(format!(
+            "a {}x{} node grid has no exchange",
+            params.rows, params.cols
+        ));
+    }
+    if let Some(init) = initial {
+        if init.len() != nodes as usize || init.iter().any(|v| v.len() as u64 != n * n) {
+            return invalid(format!("a checkpoint needs {nodes} interiors of {n}x{n}"));
+        }
+    }
 
     let mut config = ClusterConfig::table2(nodes);
     config.log_events = false;
@@ -351,12 +360,10 @@ fn run_inner(
     // (§3.3) without changing functional behaviour.
     config.nic.lookup = LookupKind::HashTable;
     mutate(&mut config);
+    config.validate().map_err(JobFailure::Invalid)?;
 
     let mut mem = MemPool::new(nodes as usize);
     let bufs: Vec<NodeBufs> = (0..nodes).map(|nd| alloc_node(&mut mem, nd, n)).collect();
-    if let Some(init) = initial {
-        assert_eq!(init.len(), nodes as usize, "one interior per node");
-    }
     for nd in 0..nodes {
         let (r, c) = (nd / params.cols, nd % params.cols);
         for row in 1..=n {
@@ -598,59 +605,42 @@ impl Workload for Jacobi {
             .seed(0xA11CE)
     }
 
-    fn verify(&self, params: &ScenarioParams) -> Result<ScenarioResult, String> {
-        let patch = params.patch;
-        let r = run_with_config(
-            JacobiParams {
-                rows: params.rows,
-                cols: params.cols,
-                n_local: params.size as u32,
-                iters: params.iters,
-                strategy: params.strategy,
-                seed: params.seed,
-            },
-            |config| patch.apply(config),
-        );
-        let expect = reference(
-            params.rows,
-            params.cols,
-            params.size as u32,
-            params.iters,
-            params.seed,
-        );
-        if r.interiors != expect {
-            return Err(format!(
-                "{} diverges from the sequential sweep",
-                params.strategy
-            ));
-        }
+    fn run(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
+        let jp = JacobiParams {
+            rows: params.rows,
+            cols: params.cols,
+            n_local: params.size as u32,
+            iters: params.iters,
+            strategy: params.strategy,
+            seed: params.seed,
+        };
+        let r = try_run_with_config(jp, |config| params.patch.apply(config))?;
+        check(&r, &jp)?;
         Ok(r.scenario)
     }
+}
 
-    fn run_lenient(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
-        let patch = params.patch;
-        let r = try_run_with_config(
-            JacobiParams {
-                rows: params.rows,
-                cols: params.cols,
-                n_local: params.size as u32,
-                iters: params.iters,
-                strategy: params.strategy,
-                seed: params.seed,
-            },
-            |config| patch.apply(config),
-        )?;
-        // A run that completed must still be correct — chaos scenarios may
-        // fail, they may not corrupt.
-        let expect = reference(
-            params.rows,
-            params.cols,
-            params.size as u32,
-            params.iters,
-            params.seed,
-        );
-        assert_eq!(r.interiors, expect, "completed jacobi run diverges");
-        Ok(r.scenario)
+/// Compare a completed run's interiors with the sequential [`reference`]
+/// of the same sweeps from the seeded initial grid.
+pub(crate) fn check(r: &JacobiResult, params: &JacobiParams) -> Result<(), JobFailure> {
+    let expect = reference(
+        params.rows,
+        params.cols,
+        params.n_local,
+        params.iters,
+        params.seed,
+    );
+    match r
+        .interiors
+        .iter()
+        .zip(&expect)
+        .position(|(got, want)| got != want)
+    {
+        Some(node) => Err(JobFailure::Diverged(format!(
+            "{} node {node} differs from the sequential sweep",
+            params.strategy
+        ))),
+        None => Ok(()),
     }
 }
 

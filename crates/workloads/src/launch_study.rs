@@ -6,7 +6,7 @@
 //! scheduler profiles: enqueue `K` empty kernels at once and report the
 //! average per-kernel launch latency observed by the front-end.
 
-use crate::harness::{ScenarioParams, ScenarioResult, Workload};
+use crate::harness::{Harness, JobFailure, ScenarioParams, ScenarioResult, Workload};
 use gtn_core::cluster::Cluster;
 use gtn_core::config::ClusterConfig;
 use gtn_core::Strategy;
@@ -38,11 +38,13 @@ pub struct LaunchPoint {
 /// Enqueue `k` empty kernels at once on a GPU with `profile` and return
 /// the per-kernel launch-latency histogram (simulation, not the closed
 /// form — the two are cross-checked in tests).
+///
+/// # Panics
+/// Panics if `k` is 0 or the batch does not complete.
 pub fn measure_hist(profile: &SchedulerProfile, k: u32) -> DurationHistogram {
-    let (cluster, _) = run_batch(
-        profile,
-        &ScenarioParams::new(Strategy::Hdn).nodes(1).size(k as u64),
-    );
+    let params = ScenarioParams::new(Strategy::Hdn).nodes(1).size(k as u64);
+    let (cluster, _) = run_batch(profile, &params)
+        .unwrap_or_else(|failure| panic!("launch batch of {k} failed\n{failure}"));
     let hist = cluster
         .gpu(0)
         .stats()
@@ -54,13 +56,24 @@ pub fn measure_hist(profile: &SchedulerProfile, k: u32) -> DurationHistogram {
 
 /// Enqueue a batch of `params.size` empty kernels on one node with the
 /// given scheduler profile and run it through the shared harness.
-fn run_batch(profile: &SchedulerProfile, params: &ScenarioParams) -> (Cluster, ScenarioResult) {
-    let k = params.size as u32;
-    assert!(k >= 1);
+fn run_batch(
+    profile: &SchedulerProfile,
+    params: &ScenarioParams,
+) -> Result<(Cluster, ScenarioResult), JobFailure> {
+    let k = match u32::try_from(params.size) {
+        Ok(k) if k >= 1 => k,
+        _ => {
+            return Err(JobFailure::Invalid(format!(
+                "a launch batch of {} kernels",
+                params.size
+            )))
+        }
+    };
     let mut config = ClusterConfig::table2(1);
     config.gpu.launch = LaunchModel::Profile(profile.clone());
     config.log_events = false;
     params.patch.apply(&mut config);
+    config.validate().map_err(JobFailure::Invalid)?;
 
     let mem = MemPool::new(1);
     let mut p = HostProgram::new();
@@ -70,7 +83,7 @@ fn run_batch(profile: &SchedulerProfile, params: &ScenarioParams) -> (Cluster, S
         p.launch(KernelLaunch::empty(&format!("k{i}")));
     }
     p.wait_kernel(&format!("k{}", k - 1));
-    crate::harness::Harness::execute("launch_study", params, config, mem, vec![p])
+    Harness::try_execute("launch_study", params, config, mem, vec![p])
 }
 
 /// The full Fig. 1 sweep: three profiles × five batch sizes.
@@ -110,23 +123,25 @@ impl Workload for LaunchStudy {
         ScenarioParams::new(strategy).nodes(1).size(16)
     }
 
-    fn verify(&self, params: &ScenarioParams) -> Result<ScenarioResult, String> {
+    fn run(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
         let profiles = SchedulerProfile::all();
-        let profile = &profiles[params.variant as usize];
-        let (cluster, scenario) = run_batch(profile, params);
+        let profile = profiles.get(params.variant as usize).ok_or_else(|| {
+            JobFailure::Invalid(format!("no scheduler profile {}", params.variant))
+        })?;
+        let (cluster, scenario) = run_batch(profile, params)?;
         let hist = cluster
             .gpu(0)
             .stats()
             .histogram("launch_latency")
-            .ok_or("no launch latencies recorded")?;
+            .expect("a completed batch records its launch latencies");
         let sim = hist.mean().as_ns_f64();
         let analytic = profile.average_over_batch(params.size as u32).as_ns_f64();
         let err = (sim - analytic).abs() / analytic;
         if err >= 0.02 {
-            return Err(format!(
+            return Err(JobFailure::Diverged(format!(
                 "{} k={}: sim {sim} ns vs analytic {analytic} ns",
                 profile.name, params.size
-            ));
+            )));
         }
         Ok(scenario)
     }

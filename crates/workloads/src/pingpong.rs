@@ -151,14 +151,16 @@ pub fn run_flavor(flavor: Flavor) -> PingResult {
         .unwrap_or_else(|failure| panic!("pingpong {} did not complete\n{failure}", flavor.name()))
 }
 
-/// [`run_flavor`] with config overrides and structured failure: a crash
-/// scenario (injected via `patch`) comes back as `Err(JobFailure)` instead
-/// of a panic.
+/// [`run_flavor`] with config overrides and structured failure: a patch
+/// the config rejects comes back as [`JobFailure::Invalid`], a crash
+/// scenario as [`JobFailure::Stalled`], and a payload that arrives
+/// corrupted as [`JobFailure::Diverged`].
 pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, JobFailure> {
     let strategy = flavor.reported_strategy();
     let params = ScenarioParams::new(strategy).size(PAYLOAD).patch(patch);
     let mut config = ClusterConfig::table2(2);
     patch.apply(&mut config);
+    config.validate().map_err(JobFailure::Invalid)?;
     let mut mem = MemPool::new(2);
     // `src` doubles as the GPU Host flavor's bounce buffer: in both roles
     // it is the staging area the NIC reads the payload from.
@@ -279,11 +281,12 @@ pub fn try_run_flavor(flavor: Flavor, patch: ConfigPatch) -> Result<PingResult, 
 
     let (cluster, mut scenario) =
         Harness::try_execute("pingpong", &params, config, mem, vec![p0, p1])?;
-    assert_eq!(
-        cluster.mem().read(dst, PAYLOAD),
-        &[0xC5; PAYLOAD as usize],
-        "payload corrupted"
-    );
+    if cluster.mem().read(dst, PAYLOAD) != [0xC5; PAYLOAD as usize] {
+        return Err(JobFailure::Diverged(format!(
+            "{} payload corrupted",
+            flavor.name()
+        )));
+    }
 
     let target_completion = cluster
         .log()
@@ -333,25 +336,7 @@ impl Workload for Pingpong {
         ScenarioParams::new(strategy).size(PAYLOAD)
     }
 
-    fn verify(&self, params: &ScenarioParams) -> Result<ScenarioResult, String> {
-        // Payload integrity is asserted inside the run; re-check the
-        // structural invariant that intra-kernel delivery is GPU-TN's
-        // defining phenomenon.
-        let r = try_run_flavor(Flavor::Std(params.strategy), params.patch)
-            .map_err(|f| format!("{}: {f}", params.strategy))?;
-        let expect_intra = params.strategy == Strategy::GpuTn;
-        if r.delivered_intra_kernel() != expect_intra {
-            return Err(format!(
-                "{}: intra-kernel delivery {} (expected {})",
-                params.strategy,
-                r.delivered_intra_kernel(),
-                expect_intra
-            ));
-        }
-        Ok(r.scenario)
-    }
-
-    fn run_lenient(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
+    fn run(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
         try_run_flavor(Flavor::Std(params.strategy), params.patch).map(|r| r.scenario)
     }
 }
@@ -503,7 +488,12 @@ mod tests {
 
     #[test]
     fn intra_kernel_flavors_deliver_before_kernel_end() {
-        assert!(run_flavor(Flavor::GpuNative).delivered_intra_kernel());
-        assert!(run_flavor(Flavor::GpuHost).delivered_intra_kernel());
+        // Exactly the Table 1 rows marked intra-kernel deliver before the
+        // initiator's kernel ends; every kernel-boundary strategy after.
+        let std = Strategy::all().map(Flavor::Std);
+        for f in std.into_iter().chain([Flavor::GpuHost, Flavor::GpuNative]) {
+            let r = run_flavor(f);
+            assert_eq!(r.delivered_intra_kernel(), f.intra_kernel(), "{}", f.name());
+        }
     }
 }

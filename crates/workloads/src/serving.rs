@@ -626,17 +626,10 @@ impl Workload for Serving {
             .seed(42)
     }
 
-    fn verify(&self, params: &ScenarioParams) -> Result<ScenarioResult, String> {
-        let sp = Self::params_from(params);
-        let report = try_run(&sp).map_err(|f| f.to_string())?;
-        unified_result(&sp, report)
-    }
-
-    fn run_lenient(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
+    fn run(&self, params: &ScenarioParams) -> Result<ScenarioResult, JobFailure> {
         let sp = Self::params_from(params);
         let report = try_run(&sp)?;
-        Ok(unified_result(&sp, report)
-            .unwrap_or_else(|e| panic!("serving failed verification: {e}")))
+        unified_result(&sp, report).map_err(JobFailure::Diverged)
     }
 }
 
@@ -857,7 +850,7 @@ mod tests {
     fn workload_verify_builds_a_unified_result() {
         let w = Serving;
         let sp = w.smoke_scenario(Strategy::GpuTn).size(100_000);
-        let r = w.verify(&sp).expect("verifies");
+        let r = w.run(&sp).expect("verifies");
         assert_eq!(r.workload, "serving");
         assert_eq!(r.size, 100_000);
         assert!(r.total > SimTime::ZERO);

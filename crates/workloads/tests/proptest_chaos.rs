@@ -15,8 +15,7 @@
 
 use gtn_core::scenario::ConfigPatch;
 use gtn_core::{RecoveryPolicy, StallReason, Strategy};
-use gtn_workloads::harness::Workload;
-use gtn_workloads::harness::{all_workloads, ResourceLimits, ScenarioParams};
+use gtn_workloads::harness::{all_workloads, JobFailure, ResourceLimits, ScenarioParams, Workload};
 use gtn_workloads::jacobi::Jacobi;
 use proptest::prelude::*;
 
@@ -49,21 +48,22 @@ proptest! {
             let params = w
                 .smoke_scenario(strategy)
                 .patch(ConfigPatch::crash_node(1, crash_at_us * 1_000));
-            match w.run_lenient(&params) {
+            match w.run(&params) {
                 // The crash landed after the workload finished.
                 Ok(r) => prop_assert!(r.total.as_ps() > 0),
-                Err(failure) => {
+                Err(JobFailure::Stalled { report, events, .. }) => {
                     prop_assert!(
-                        failure.events <= EVENT_BUDGET,
+                        events <= EVENT_BUDGET,
                         "{} {strategy}: {} events blew the budget",
-                        w.name(), failure.events
+                        w.name(), events
                     );
                     prop_assert!(
-                        !matches!(failure.report.reason, StallReason::PeerDead { .. }),
+                        !matches!(report.reason, StallReason::PeerDead { .. }),
                         "{} {strategy}: PeerDead with detection off",
                         w.name()
                     );
                 }
+                Err(other) => prop_assert!(false, "{} {strategy}: {other}", w.name()),
             }
         }
     }
@@ -89,12 +89,13 @@ proptest! {
                     .with_pressure(ResourceLimits::tiny(2, 4))
                     .with_detection(RecoveryPolicy::Abort),
             );
-        match Jacobi.run_lenient(&params) {
+        match Jacobi.run(&params) {
             Ok(_) => {}
             Err(failure) => prop_assert!(
-                !matches!(failure.report.reason, StallReason::PeerDead { .. }),
+                matches!(&failure, JobFailure::Stalled { report, .. }
+                    if !matches!(report.reason, StallReason::PeerDead { .. })),
                 "{strategy} loss={loss_milli}milli seed={fault_seed}: \
-                 live peer declared dead\n{failure}"
+                 live peer declared dead, or a wrong answer\n{failure}"
             ),
         }
     }
@@ -116,17 +117,21 @@ proptest! {
                 ConfigPatch::crash_node(2, crash_at_us * 1_000)
                     .with_detection(RecoveryPolicy::Abort),
             );
-        if let Err(failure) = gtn_workloads::allreduce::Allreduce.run_lenient(&params) {
-            prop_assert!(
-                matches!(failure.report.reason, StallReason::PeerDead { peer: 2, .. }),
-                "wrong diagnosis: {}", failure.report.reason
-            );
-            prop_assert!(
-                failure.events < EVENT_BUDGET / 10,
-                "verdict at {} events — probes kept ticking after the \
-                 verdict instead of draining (budget {})",
-                failure.events, EVENT_BUDGET
-            );
+        match gtn_workloads::allreduce::Allreduce.run(&params) {
+            Ok(_) => {}
+            Err(JobFailure::Stalled { report, events, .. }) => {
+                prop_assert!(
+                    matches!(report.reason, StallReason::PeerDead { peer: 2, .. }),
+                    "wrong diagnosis: {}", report.reason
+                );
+                prop_assert!(
+                    events < EVENT_BUDGET / 10,
+                    "verdict at {} events — probes kept ticking after the \
+                     verdict instead of draining (budget {})",
+                    events, EVENT_BUDGET
+                );
+            }
+            Err(other) => prop_assert!(false, "{other}"),
         }
     }
 
@@ -146,18 +151,21 @@ proptest! {
                 ConfigPatch::crash_node(2, crash_at_us * 1_000)
                     .with_detection(RecoveryPolicy::Abort),
             );
-        let a = gtn_workloads::allreduce::Allreduce.run_lenient(&params);
-        let b = gtn_workloads::allreduce::Allreduce.run_lenient(&params);
+        let a = gtn_workloads::allreduce::Allreduce.run(&params);
+        let b = gtn_workloads::allreduce::Allreduce.run(&params);
         match (a, b) {
             (Ok(ra), Ok(rb)) => prop_assert_eq!(ra.total, rb.total),
-            (Err(fa), Err(fb)) => {
-                prop_assert_eq!(&fa.report.reason, &fb.report.reason);
-                prop_assert_eq!(fa.report.at, fb.report.at);
-                prop_assert_eq!(fa.events, fb.events);
+            (
+                Err(JobFailure::Stalled { report: fa, events: ea, .. }),
+                Err(JobFailure::Stalled { report: fb, events: eb, .. }),
+            ) => {
+                prop_assert_eq!(&fa.reason, &fb.reason);
+                prop_assert_eq!(fa.at, fb.at);
+                prop_assert_eq!(ea, eb);
                 prop_assert!(matches!(
-                    fa.report.reason,
+                    fa.reason,
                     StallReason::PeerDead { peer: 2, .. }
-                ), "wrong culprit: {}", fa.report.reason);
+                ), "wrong culprit: {}", fa.reason);
             }
             _ => prop_assert!(false, "replay changed the verdict"),
         }
@@ -213,16 +221,17 @@ proptest! {
             .seed(0xF1A6)
             .patch(ConfigPatch::NONE.with_degrade(spec).with_failure(phi_hot));
         let w = gtn_workloads::allreduce::Allreduce;
-        match w.run_lenient(&params) {
+        match w.run(&params) {
             Ok(r) => {
-                let again = w.run_lenient(&params).expect("rerun verdict flipped");
+                let again = w.run(&params).expect("rerun verdict flipped");
                 prop_assert_eq!(r.total, again.total, "gray rerun diverged");
             }
             Err(failure) => prop_assert!(
-                !matches!(failure.report.reason, StallReason::PeerDead { .. }),
+                matches!(&failure, JobFailure::Stalled { report, .. }
+                    if !matches!(report.reason, StallReason::PeerDead { .. })),
                 "{strategy} lat={latency_us}us jit={jitter_us}us \
                  loss={loss_milli}milli flap={flap_sel}: \
-                 limping peer declared dead\n{failure}"
+                 limping peer declared dead, or a wrong answer\n{failure}"
             ),
         }
     }
@@ -251,10 +260,11 @@ proptest! {
                     .with_topology(ft)
                     .with_detection(RecoveryPolicy::RouteAround),
             );
-        let first = chaos::run_cell(&scenario, "allreduce");
+        let w = gtn_workloads::allreduce::Allreduce;
+        let first = chaos::run_cell(&scenario, &w).expect("verdict");
         prop_assert_eq!(first.verdict, Verdict::Recovered, "fat tree did not survive");
         prop_assert!(first.reroutes > 0 && first.verified);
-        let again = chaos::run_cell(&scenario, "allreduce");
+        let again = chaos::run_cell(&scenario, &w).expect("verdict");
         prop_assert_eq!(again.verdict, first.verdict, "verdict diverged on replay");
         prop_assert_eq!(again.total_ns, first.total_ns, "timing diverged on replay");
         prop_assert_eq!(again.reroutes, first.reroutes, "reroutes diverged on replay");

@@ -6,11 +6,32 @@
 use gtn_core::Strategy;
 use gtn_fabric::FaultConfig;
 use gtn_nic::reliability::ReliabilityConfig;
-use gtn_workloads::jacobi::{run, run_with_config, JacobiParams};
+use gtn_workloads::jacobi::{run, try_run_with_config, JacobiParams, JacobiResult};
 use proptest::prelude::*;
 
 fn params(strategy: Strategy, n_local: u32) -> JacobiParams {
     JacobiParams::square4(n_local, 2, strategy, 0xA11CE)
+}
+
+/// A lossy run that must complete: seeded `loss_milli`/1000 loss with ARQ
+/// on (`window == 0`) or a bounded window, and a 16-try retry budget.
+fn lossy(
+    strategy: Strategy,
+    n_local: u32,
+    fault_seed: u64,
+    loss_milli: u64,
+    window: u64,
+) -> JacobiResult {
+    try_run_with_config(params(strategy, n_local), |config| {
+        config.fabric.faults = FaultConfig::loss(fault_seed, loss_milli as f64 / 1000.0);
+        config.nic.reliability = if window == 0 {
+            ReliabilityConfig::on()
+        } else {
+            ReliabilityConfig::bounded(window)
+        };
+        config.nic.reliability.max_retries = 16;
+    })
+    .unwrap_or_else(|f| panic!("{strategy} seed {fault_seed} loss {loss_milli}milli: {f}"))
 }
 
 fn strategy_from(ix: u8) -> Strategy {
@@ -33,11 +54,7 @@ proptest! {
     ) {
         let strategy = strategy_from(strategy_ix);
         let baseline = run(params(strategy, n_local));
-        let lossy = run_with_config(params(strategy, n_local), |config| {
-            config.fabric.faults = FaultConfig::loss(fault_seed, loss_milli as f64 / 1000.0);
-            config.nic.reliability = ReliabilityConfig::on();
-            config.nic.reliability.max_retries = 16;
-        });
+        let lossy = lossy(strategy, n_local, fault_seed, loss_milli, 0);
         prop_assert_eq!(lossy.scenario.delivery_failures, 0, "retry budget exhausted");
         prop_assert_eq!(&lossy.interiors, &baseline.interiors, "loss changed the answer");
         prop_assert!(lossy.scenario.total >= baseline.scenario.total, "loss cannot speed a run up");
@@ -57,15 +74,7 @@ proptest! {
         window in 1u64..5,
     ) {
         let strategy = strategy_from(strategy_ix);
-        let lossy = |window: u64| run_with_config(params(strategy, 6), move |config| {
-            config.fabric.faults = FaultConfig::loss(fault_seed, loss_milli as f64 / 1000.0);
-            config.nic.reliability = if window == 0 {
-                ReliabilityConfig::on()
-            } else {
-                ReliabilityConfig::bounded(window)
-            };
-            config.nic.reliability.max_retries = 16;
-        });
+        let lossy = |window: u64| lossy(strategy, 6, fault_seed, loss_milli, window);
         let unbounded = lossy(0);
         let bounded = lossy(window);
         prop_assert_eq!(bounded.scenario.delivery_failures, 0, "retry budget exhausted");
@@ -87,11 +96,7 @@ proptest! {
         loss_milli in 1u64..200,
     ) {
         let strategy = strategy_from(strategy_ix);
-        let go = || run_with_config(params(strategy, 6), |config| {
-            config.fabric.faults = FaultConfig::loss(fault_seed, loss_milli as f64 / 1000.0);
-            config.nic.reliability = ReliabilityConfig::on();
-            config.nic.reliability.max_retries = 16;
-        });
+        let go = || lossy(strategy, 6, fault_seed, loss_milli, 0);
         let a = go();
         let b = go();
         prop_assert_eq!(a.scenario.retransmits, b.scenario.retransmits);

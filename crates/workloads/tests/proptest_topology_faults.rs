@@ -13,7 +13,7 @@ use gtn_core::{RecoveryPolicy, StallReason, Strategy};
 use gtn_fabric::{FabricGraph, Topology};
 use gtn_mem::NodeId;
 use gtn_workloads::allreduce::Allreduce;
-use gtn_workloads::harness::Workload;
+use gtn_workloads::harness::{JobFailure, Workload};
 use proptest::prelude::*;
 
 /// No terminated run may consume more events than this.
@@ -51,7 +51,7 @@ proptest! {
         let base = w
             .smoke_scenario(strategy)
             .patch(ConfigPatch::NONE.with_topology(topo));
-        let healthy = w.run_scenario(&base);
+        let healthy = w.run(&base).expect("the healthy run verifies");
         let crash_at_ns = (healthy.total.as_ps() / 1000) * 3 / 10;
 
         let params = w.smoke_scenario(strategy).patch(
@@ -59,20 +59,20 @@ proptest! {
                 .with_topology(topo)
                 .with_detection(RecoveryPolicy::Abort),
         );
-        let failure = w
-            .run_lenient(&params)
-            .expect_err("a severed routed link under Abort must terminate the job");
+        let Err(JobFailure::Stalled { report, events, .. }) = w.run(&params) else {
+            panic!("a severed routed link under Abort must terminate the job");
+        };
         prop_assert!(
-            matches!(failure.report.reason, StallReason::PeerDead { peer, .. } if peer == host),
+            matches!(report.reason, StallReason::PeerDead { peer, .. } if peer == host),
             "{} {strategy}: wrong diagnosis for severed uplink of host {host}: {}",
             topo.label(),
-            failure.report.reason
+            report.reason
         );
         prop_assert!(
-            failure.events < EVENT_BUDGET,
+            events < EVENT_BUDGET,
             "{} {strategy}: {} events blew the liveness budget",
             topo.label(),
-            failure.events
+            events
         );
     }
 }

@@ -4,8 +4,13 @@
 //! paper's qualitative ordering (GPU-TN < GDS < HDN, Figs. 8–10), and
 //! stats-snapshot consistency.
 use gtn_core::{RecoveryPolicy, StallReason, Strategy};
-use gtn_workloads::chaos::{self, Verdict};
-use gtn_workloads::harness::{all_workloads, ConfigPatch, ResourceLimits};
+use gtn_workloads::allreduce::Allreduce;
+use gtn_workloads::chaos::{self, Recoverable, Verdict};
+use gtn_workloads::harness::{
+    all_workloads, ConfigPatch, JobFailure, ResourceLimits, ScenarioParams,
+};
+use gtn_workloads::jacobi::Jacobi;
+use gtn_workloads::pingpong::Pingpong;
 
 #[test]
 fn every_workload_verifies_on_its_smoke_scenario_under_every_strategy() {
@@ -13,7 +18,7 @@ fn every_workload_verifies_on_its_smoke_scenario_under_every_strategy() {
         for strategy in w.strategies() {
             let params = w.smoke_scenario(strategy);
             let r = w
-                .verify(&params)
+                .run(&params)
                 .unwrap_or_else(|e| panic!("{} {strategy}: {e}", w.name()));
             assert_eq!(r.workload, w.name());
             assert_eq!(r.strategy, strategy);
@@ -29,7 +34,11 @@ fn gputn_beats_gds_beats_hdn_on_every_networked_workload() {
         if w.strategies().len() < 2 {
             continue; // launch_study measures the scheduler, not networking
         }
-        let per_iter = |s: Strategy| w.run_scenario(&w.smoke_scenario(s)).per_iter;
+        let per_iter = |s: Strategy| {
+            w.run(&w.smoke_scenario(s))
+                .unwrap_or_else(|e| panic!("{} {s}: {e}", w.name()))
+                .per_iter
+        };
         let hdn = per_iter(Strategy::Hdn);
         let gds = per_iter(Strategy::Gds);
         let tn = per_iter(Strategy::GpuTn);
@@ -52,10 +61,10 @@ fn seeded_loss_never_changes_a_verified_answer() {
             let lossless = w.smoke_scenario(strategy);
             let lossy = lossless.patch(ConfigPatch::loss(2, 0.01));
             let base = w
-                .verify(&lossless)
+                .run(&lossless)
                 .unwrap_or_else(|e| panic!("{} {strategy} lossless: {e}", w.name()));
             let r = w
-                .verify(&lossy)
+                .run(&lossy)
                 .unwrap_or_else(|e| panic!("{} {strategy} lossy: {e}", w.name()));
             assert_eq!(
                 r.delivery_failures,
@@ -100,7 +109,7 @@ fn resource_pressure_degrades_gracefully_never_fatally() {
                 .smoke_scenario(strategy)
                 .patch(ConfigPatch::pressure(limits));
             let r = w
-                .verify(&params)
+                .run(&params)
                 .unwrap_or_else(|e| panic!("{} {strategy} under pressure: {e}", w.name()));
             assert_eq!(
                 r.stats.counter_across("nic", "trigger_errors"),
@@ -113,7 +122,7 @@ fn resource_pressure_degrades_gracefully_never_fatally() {
 
             // Determinism survives the degraded paths: an identical rerun
             // reports identical timing and identical counters.
-            let again = w.verify(&params).expect("rerun verifies");
+            let again = w.run(&params).expect("rerun verifies");
             assert_eq!(again.total, r.total, "{} {strategy}", w.name());
             assert_eq!(
                 format!("{:?}", again.stats),
@@ -140,17 +149,22 @@ fn crash_mid_iteration_aborts_with_a_structured_peer_dead_diagnosis() {
             continue; // launch_study has no peers to kill
         }
         for strategy in w.strategies() {
-            let healthy = w.run_scenario(&w.smoke_scenario(strategy));
+            let healthy = w
+                .run(&w.smoke_scenario(strategy))
+                .unwrap_or_else(|e| panic!("{} {strategy}: {e}", w.name()));
             let crash_at_ns = (healthy.total.as_ps() / 1000) * 3 / 10;
             let params = w.smoke_scenario(strategy).patch(
                 ConfigPatch::crash_node(1, crash_at_ns).with_detection(RecoveryPolicy::Abort),
             );
             let failure = w
-                .run_lenient(&params)
+                .run(&params)
                 .expect_err("a mid-run crash under Abort must terminate the job");
+            let JobFailure::Stalled { report, events, .. } = &failure else {
+                panic!("{} {strategy}: not a stall: {failure}", w.name());
+            };
             assert!(
                 matches!(
-                    failure.report.reason,
+                    report.reason,
                     StallReason::PeerDead {
                         peer: 1,
                         culprit: Some(gtn_fabric::CrashComponent::Node(1)),
@@ -159,13 +173,13 @@ fn crash_mid_iteration_aborts_with_a_structured_peer_dead_diagnosis() {
                 ),
                 "{} {strategy}: wrong diagnosis: {}",
                 w.name(),
-                failure.report.reason
+                report.reason
             );
             assert!(
-                failure.events < 2_000_000,
+                *events < 2_000_000,
                 "{} {strategy}: {} events blew the liveness budget",
                 w.name(),
-                failure.events
+                events
             );
             // The rendered report reads like a diagnosis.
             let text = failure.to_string();
@@ -184,34 +198,32 @@ fn crash_recovery_policies_verify_and_replay_bit_identically() {
     // come back Recovered with a verified result, and a same-seed rerun
     // must reproduce the identical report — detection time, recovery
     // cost, and event count included.
-    let cells: Vec<(&str, gtn_workloads::harness::ScenarioParams)> = vec![
+    let cells: [(&dyn Recoverable, ScenarioParams); 3] = [
+        (&Pingpong, ScenarioParams::new(Strategy::GpuTn).seed(3)),
         (
-            "pingpong",
-            gtn_workloads::harness::ScenarioParams::new(Strategy::GpuTn).seed(3),
-        ),
-        (
-            "jacobi",
-            gtn_workloads::harness::ScenarioParams::new(Strategy::GpuTn)
+            &Jacobi,
+            ScenarioParams::new(Strategy::GpuTn)
                 .grid(2, 2)
                 .size(16)
                 .iters(4)
                 .seed(0xA11CE),
         ),
         (
-            "allreduce",
-            gtn_workloads::harness::ScenarioParams::new(Strategy::Hdn)
+            &Allreduce,
+            ScenarioParams::new(Strategy::Hdn)
                 .nodes(4)
                 .size(64 * 1024)
                 .seed(0xBEEF),
         ),
     ];
-    for (name, base) in cells {
+    for (w, base) in cells {
+        let name = w.name();
         for policy in [
             RecoveryPolicy::CheckpointRestart,
             RecoveryPolicy::RebuildCollective,
         ] {
             let params = base.patch(ConfigPatch::crash_node(1, 2_000).with_detection(policy));
-            let report = chaos::run_cell(&params, name);
+            let report = chaos::run_cell(&params, w).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(
                 report.verdict,
                 Verdict::Recovered,
@@ -222,7 +234,7 @@ fn crash_recovery_policies_verify_and_replay_bit_identically() {
             assert!(report.verified, "{name} {}", policy.name());
             assert!(report.detect_ns > 0 && report.recovery_ns > 0);
             assert_eq!(report.total_ns, report.detect_ns + report.recovery_ns);
-            let again = chaos::run_cell(&params, name);
+            let again = chaos::run_cell(&params, w).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(again.verdict, report.verdict, "{name} {}", policy.name());
             assert_eq!(
                 (
@@ -248,7 +260,9 @@ fn crash_recovery_policies_verify_and_replay_bit_identically() {
 fn stats_snapshot_is_namespaced_and_agrees_with_summary_counters() {
     for w in all_workloads() {
         let strategy = *w.strategies().last().unwrap();
-        let r = w.run_scenario(&w.smoke_scenario(strategy));
+        let r = w
+            .run(&w.smoke_scenario(strategy))
+            .unwrap_or_else(|e| panic!("{} {strategy}: {e}", w.name()));
         for nd in 0..r.nodes {
             assert!(
                 r.stats.get(&format!("node{nd}.nic")).is_some(),
