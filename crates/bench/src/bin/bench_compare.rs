@@ -6,7 +6,8 @@
 //! bench_compare diff <golden> <actual>    # two files or two dirs, naming
 //!                                         # the fields that drifted
 //! bench_compare ceilings <file> <dir>     # traced benchmark runs at or
-//!                                         # under their layer ceilings
+//!                                         # under their layer ceilings,
+//!                                         # with their pinned counts
 //! ```
 //!
 //! `golden` walks the *golden* dir's manifest (baseline coverage must not
@@ -37,7 +38,7 @@ fn main() {
             .map(|n| format!("golden ok: {n} reports bit-identical to baselines")),
         (Some("diff"), 3) => compare::diff_paths(arg(1), arg(2)),
         (Some("ceilings"), 3) => compare::check_ceilings(arg(1), arg(2))
-            .map(|n| format!("ceilings ok: {n} layer timings at or under their ceilings")),
+            .map(|n| format!("ceilings ok: {n} layer metrics within their ceilings and pins")),
         _ => Err(USAGE.to_owned()),
     };
     match outcome {

@@ -15,9 +15,12 @@
 //! - [`check_ceilings`]: the simulator's per-layer host timings, read
 //!   from the result lines of the benchmark's traced full-size run
 //!   (`benchmark --workload W --trace 1`), stay at or below the recorded
-//!   ceilings, and every cell of each run completed and verified. The
-//!   ceilings sit at 3x the reference box's median, so runner noise does
-//!   not trip them; a complexity-class slowdown of the calendar does.
+//!   ceilings, its pinned counts (the traced census: events, allocations
+//!   and bytes allocated) read exactly their recorded values, and every
+//!   cell of each run completed and verified. The ceilings sit at 3x the
+//!   reference box's median, so runner noise does not trip them; a
+//!   complexity-class slowdown of the calendar does. The census is
+//!   deterministic, so any allocation a change moves fails it.
 //!
 //! When a comparison fails, [`field_diffs`] parses both reports with the
 //! built-in mini JSON reader and names the exact leaf fields that moved
@@ -382,13 +385,14 @@ pub fn diff_against_golden(golden: &Path, actual: &Path) -> Result<usize, String
 }
 
 /// Check the traced benchmark runs in `dir` against `ceilings`, a file
-/// of `{"<workload>": {"<metric>": {"max": N}}}`. `<dir>/<workload>.json`
-/// holds the last line that `benchmark --workload <workload> --trace 1`
-/// printed: one JSON object with `correct`, `failed` and every per-layer
-/// metric as `"<metric>": {"value": V, ...}`. A workload passes when its
-/// line reads `"correct": true` and `"failed": 0` and each metric with a
-/// ceiling is present and at or below its `max`. Returns the number of
-/// values checked; `Err` names every failure.
+/// of `{"<workload>": {"<metric>": {"max": N} or {"eq": N}}}`.
+/// `<dir>/<workload>.json` holds the last line that
+/// `benchmark --workload <workload> --trace 1` printed: one JSON object
+/// with `correct`, `failed` and every per-layer metric as
+/// `"<metric>": {"value": V, ...}`. A workload passes when its line reads
+/// `"correct": true` and `"failed": 0` and each metric with a bound is
+/// present and at or below its `max`, or equal to its `eq`. Returns the
+/// number of values checked; `Err` names every failure.
 pub fn check_ceilings(ceilings: &Path, dir: &Path) -> Result<usize, String> {
     let read = |p: &Path| fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()));
     let workloads = match parse_json(&read(ceilings)?)? {
@@ -413,14 +417,17 @@ pub fn check_ceilings(ceilings: &Path, dir: &Path) -> Result<usize, String> {
             }
         }
         for (metric, ceiling) in metrics {
-            let max =
-                ceiling_max(ceiling).ok_or(format!("{workload}: {metric} has no integer max"))?;
-            match metric_value(&line, metric) {
-                None => failures.push(format!("{workload}: {metric} is missing")),
-                Some(v) if v > max as f64 => failures.push(format!(
+            let bound = bound_of(ceiling)
+                .ok_or(format!("{workload}: {metric} has no integer max or eq"))?;
+            match (metric_value(&line, metric), bound) {
+                (None, _) => failures.push(format!("{workload}: {metric} is missing")),
+                (Some(v), Bound::Max(max)) if v > max as f64 => failures.push(format!(
                     "{workload}: {metric} = {v} is above its max of {max}"
                 )),
-                Some(_) => checked += 1,
+                (Some(v), Bound::Eq(pin)) if v != pin as f64 => failures.push(format!(
+                    "{workload}: {metric} = {v} is not its pinned {pin}"
+                )),
+                (Some(_), _) => checked += 1,
             }
         }
     }
@@ -434,13 +441,23 @@ pub fn check_ceilings(ceilings: &Path, dir: &Path) -> Result<usize, String> {
     }
 }
 
-/// The `N` of a ceiling `{"max": N}`.
-fn ceiling_max(ceiling: &Json) -> Option<u64> {
+/// A metric's recorded bound in the ceilings file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bound {
+    /// `{"max": N}`: a ceiling.
+    Max(u64),
+    /// `{"eq": N}`: a pinned count.
+    Eq(u64),
+}
+
+/// The bound of `{"max": N}` or `{"eq": N}`.
+fn bound_of(ceiling: &Json) -> Option<Bound> {
     let Json::Obj(fields) = ceiling else {
         return None;
     };
     match fields.as_slice() {
-        [(k, Json::U64(max))] if k == "max" => Some(*max),
+        [(k, Json::U64(n))] if k == "max" => Some(Bound::Max(*n)),
+        [(k, Json::U64(n))] if k == "eq" => Some(Bound::Eq(*n)),
         _ => None,
     }
 }
@@ -706,6 +723,53 @@ mod tests {
         fs::remove_dir_all(runs.parent().unwrap()).unwrap();
     }
 
+    #[test]
+    fn pinned_counts_pass_only_when_equal() {
+        let dir = scratch("ceilings-eq");
+        let ceilings = dir.join("ceilings.json");
+        fs::write(
+            &ceilings,
+            r#"{"ring": {"alloc.count": {"eq": 538272}, "sim.calendar_ns_per_event": {"max": 90}}}"#,
+        )
+        .unwrap();
+        let runs = dir.join("runs");
+        fs::create_dir_all(&runs).unwrap();
+        let line = |count: f64| {
+            layer_line(
+                true,
+                0,
+                &[("alloc.count", count), ("sim.calendar_ns_per_event", 12.0)],
+            )
+        };
+        fs::write(runs.join("ring.json"), line(538_272.0)).unwrap();
+        assert_eq!(check_ceilings(&ceilings, &runs).unwrap(), 2);
+        for off_by_one in [538_271.0, 538_273.0] {
+            fs::write(runs.join("ring.json"), line(off_by_one)).unwrap();
+            let err = check_ceilings(&ceilings, &runs).unwrap_err();
+            assert!(
+                err.contains(&format!(
+                    "ring: alloc.count = {off_by_one} is not its pinned 538272"
+                )),
+                "{err}"
+            );
+            assert!(!err.contains("calendar"), "{err}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_bound_is_one_max_or_one_eq() {
+        for (text, bound) in [
+            (r#"{"max": 7}"#, Some(Bound::Max(7))),
+            (r#"{"eq": 7}"#, Some(Bound::Eq(7))),
+            (r#"{"min": 7}"#, None),
+            (r#"{"max": 7, "eq": 7}"#, None),
+            (r#"{"eq": "7"}"#, None),
+        ] {
+            assert_eq!(bound_of(&parse_json(text).unwrap()), bound, "{text}");
+        }
+    }
+
     /// The `"name"`s of one of `BENCHMARK.json`'s lists, one entry a line.
     fn declared(bench: &str, list: &str) -> Vec<String> {
         bench
@@ -740,7 +804,7 @@ mod tests {
                     layers.contains(metric),
                     "{workload}: {metric} is not per_layer"
                 );
-                assert!(ceiling_max(ceiling).is_some(), "{workload}: {metric}");
+                assert!(bound_of(ceiling).is_some(), "{workload}: {metric}");
             }
         }
     }

@@ -19,10 +19,14 @@
 //! Only when the overflow table itself is full does registration fail
 //! with [`TriggerError::CapacityExceeded`].
 //!
-//! Each partition keeps its spilled tags in an ordered queue, boxed on
-//! its first spill, so a promotion pops the lowest tag instead of
-//! scanning the overflow table. Unbounded lookups never spill and never
-//! box one. Both tiers hash tags with the simulator's keyed mix
+//! Each partition keeps its spilled tags in a sorted deque, boxed on its
+//! first spill, so a promotion pops the lowest tag instead of scanning
+//! the overflow table. Tags that arrive in rising order, as the serving
+//! workload's do (`gtn_core::tenancy::TenantMap` numbers each partition's
+//! jobs in arrival order), spill onto the back and promote or fire off
+//! the front, O(1) each; any other tag takes a binary-search insert or
+//! removal. Unbounded lookups never spill and never box one. Both tiers
+//! hash tags with the simulator's keyed mix
 //! ([`gtn_sim::hash::MixState`]), one SplitMix64 round per tag, with keys
 //! drawn per list from a sequence that every process repeats.
 
@@ -31,12 +35,45 @@ use crate::lookup::LookupKind;
 use crate::op::{NetOp, Tag};
 use gtn_sim::hash::HashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 use std::fmt;
 
-/// One partition's spilled tags, lowest first: the promotion order.
+/// One partition's spilled tags, ascending: the front is the next to
+/// promote. Rising tags push and pop at the ends; others binary-search.
 #[derive(Debug, Clone, Default)]
-struct SpillQueue(BTreeSet<u64>);
+struct SpillQueue(VecDeque<u64>);
+
+impl SpillQueue {
+    /// Queue `tag`, which is not queued yet.
+    fn insert(&mut self, tag: u64) {
+        match self.0.back() {
+            Some(&last) if last > tag => {
+                let at = self.0.partition_point(|&t| t < tag);
+                debug_assert_ne!(self.0.get(at), Some(&tag), "{tag} queued twice");
+                self.0.insert(at, tag);
+            }
+            _ => {
+                debug_assert_ne!(self.0.back(), Some(&tag), "{tag} queued twice");
+                self.0.push_back(tag);
+            }
+        }
+    }
+
+    /// Dequeue `tag`; false when it was not queued.
+    fn remove(&mut self, tag: u64) -> bool {
+        if self.0.front() == Some(&tag) {
+            self.0.pop_front();
+            return true;
+        }
+        match self.0.binary_search(&tag) {
+            Ok(at) => {
+                self.0.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+}
 
 /// Static partitioning of the trigger list across tenants.
 ///
@@ -418,7 +455,6 @@ impl TriggerList {
             self.overflow.insert(tag.0, entry);
             self.spill_queues[p as usize]
                 .get_or_insert_with(Box::default)
-                .0
                 .insert(tag.0);
             return Ok(());
         }
@@ -438,7 +474,7 @@ impl TriggerList {
             return;
         };
         while self.cam_counts[p as usize] < cap {
-            let Some(tag) = queue.0.pop_first() else {
+            let Some(tag) = queue.0.pop_front() else {
                 break;
             };
             let e = self.overflow.remove(&tag).expect("queued tag is spilled");
@@ -561,7 +597,7 @@ impl TriggerList {
             let e = self.overflow.remove(&tag.0).expect("ready entry exists");
             let queued = self.spill_queues[p as usize]
                 .as_deref_mut()
-                .is_some_and(|q| q.0.remove(&tag.0));
+                .is_some_and(|q| q.remove(tag.0));
             debug_assert!(queued, "spilled {tag} missing from its queue");
             e
         };

@@ -3,10 +3,11 @@
 //! operation fires exactly once, exactly when its counter first reaches the
 //! threshold — the core correctness claim of the GPU-TN NIC extension.
 //!
-//! The last property pins the spill and promotion contract of a
+//! The last two properties pin the spill and promotion contract of a
 //! partitioned CAM against [`ScanModel`], the earlier implementation kept
 //! verbatim: which spilled entry promotes, and every counter and
-//! occupancy the NIC and the serving workload read.
+//! occupancy the NIC and the serving workload read — over random scripts,
+//! and over tags spilled in ascending, descending and shuffled order.
 
 use gtn_mem::{Addr, NodeId, RegionId};
 use gtn_nic::dynamic::DynFields;
@@ -562,5 +563,67 @@ proptest! {
             list.rejections(),
             (model.rejected_capacity, model.rejected_duplicate, model.rejected_zero_threshold)
         );
+    }
+}
+
+/// `0..n` in ascending (`order` 0), descending (1) or shuffled (2, tags
+/// sorted by their draw in `keys`) order.
+fn tag_order(n: u64, order: u8, keys: &[u64]) -> Vec<u64> {
+    let mut tags: Vec<u64> = (0..n).collect();
+    match order {
+        0 => {}
+        1 => tags.reverse(),
+        _ => tags.sort_by_key(|&t| (keys[t as usize], t)),
+    }
+    tags
+}
+
+proptest! {
+    /// Spill queues keep their order whatever order tags spill in: every
+    /// tag registers in ascending, descending or shuffled order (past a
+    /// small CAM share, so most spill), then every tag fires in its own
+    /// such order, promoting as CAM entries retire. The list matches the
+    /// scanning model after each step.
+    #[test]
+    fn spill_orders_match_the_scanning_model(
+        n in 1u64..SPILL_TAGS + 1,
+        orders in 0u8..9,
+        reg_keys in prop::collection::vec(any::<u64>(), SPILL_TAGS as usize..SPILL_TAGS as usize + 1),
+        fire_keys in prop::collection::vec(any::<u64>(), SPILL_TAGS as usize..SPILL_TAGS as usize + 1),
+        partitions in 1u32..4,
+        ways in 0u32..4,
+    ) {
+        let kind = LookupKind::Associative { ways };
+        let parts = TriggerPartitions { partitions, depth: None };
+        let capacity = SPILL_TAGS as usize;
+        let mut list = TriggerList::with_partitions(kind, capacity, parts);
+        let mut model = ScanModel::with_partitions(kind, capacity, parts);
+        let registers = tag_order(n, orders % 3, &reg_keys)
+            .into_iter()
+            .map(|t| SpillStep::Register(t, 1));
+        let fires = tag_order(n, orders / 3, &fire_keys).into_iter().map(SpillStep::Trigger);
+        for (i, step) in registers.chain(fires).enumerate() {
+            let (got, want) = match step {
+                SpillStep::Register(t, th) => (
+                    list.register(Tag(t), dummy_put(), th),
+                    model.register(Tag(t), dummy_put(), th),
+                ),
+                SpillStep::Trigger(t) => (
+                    list.trigger(Tag(t)),
+                    model.trigger_dyn(Tag(t), DynFields::NONE),
+                ),
+                SpillStep::TriggerDyn(..) => unreachable!("orders only register and fire"),
+            };
+            prop_assert_eq!(&got, &want, "step {}: {:?}", i, step);
+            prop_assert_eq!(
+                observe_list(&list, partitions),
+                observe_model(&model, partitions),
+                "state after step {}: {:?}",
+                i,
+                step
+            );
+        }
+        prop_assert_eq!(list.active(), 0, "every tag fired");
+        prop_assert_eq!(list.spills(), model.spills);
     }
 }

@@ -140,13 +140,15 @@ impl<E> Engine<E> {
         self.stop_requested = true;
     }
 
-    /// Pop the next event, advancing the clock to its timestamp.
+    /// Pop the next event, advancing the clock to its timestamp. The
+    /// payload moves out of the calendar once, straight into the result.
+    #[inline]
     pub fn step(&mut self) -> Option<(SimTime, E)> {
-        let (at, payload) = self.queue.pop()?;
+        let at = self.queue.peek_time()?;
         debug_assert!(at >= self.now, "calendar went backwards");
         self.now = at;
         self.processed += 1;
-        Some((at, payload))
+        Some((at, self.queue.take_earliest()))
     }
 
     /// Run until the calendar drains or a handler calls [`Engine::stop`].
@@ -162,10 +164,11 @@ impl<E> Engine<E> {
     /// The horizon is **inclusive**: an event timestamped *exactly* at
     /// `horizon` fires; the first event strictly after it stays queued and
     /// the clock parks at `horizon` so back-to-back calls compose. This is
-    /// the single documented semantic shared with the calendar's fused
-    /// [`crate::event::EventQueue::pop_at_most`] hot loop — callers that
-    /// need an *exclusive* bound pass `bound - 1 ps` rather than relying on
-    /// any off-by-one here.
+    /// the single documented semantic shared with the calendar's
+    /// [`crate::event::EventQueue::pop_at_most`] — callers that need an
+    /// *exclusive* bound pass `bound - 1 ps` rather than relying on any
+    /// off-by-one here. Each event is popped the way [`Engine::step`] pops
+    /// it.
     pub fn run_until(
         &mut self,
         horizon: SimTime,
@@ -174,7 +177,6 @@ impl<E> Engine<E> {
         self.stop_requested = false;
         let budget_start = self.processed;
         loop {
-            // One fused calendar operation per event, not peek-then-pop.
             let payload = match self.queue.pop_at_most(horizon) {
                 PopAtMost::Empty => return RunOutcome::Drained,
                 PopAtMost::Later(_) => {

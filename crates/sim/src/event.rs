@@ -17,7 +17,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::BinaryHeap;
 
 /// A calendar key: the ordering `(at, seq)` plus the slab slot of the
 /// payload. `seq` is unique, so `slot` never decides an order.
@@ -99,32 +99,34 @@ impl<E> EventQueue<E> {
     }
 
     /// Remove and return the earliest event, if any.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self.pop_at_most(SimTime::MAX) {
-            PopAtMost::Popped(at, payload) => Some((at, payload)),
-            PopAtMost::Empty => None,
-            PopAtMost::Later(_) => unreachable!("nothing is later than SimTime::MAX"),
-        }
+        let at = self.peek_time()?;
+        Some((at, self.take_earliest()))
     }
 
-    /// Pop the earliest event **iff** its timestamp is at or before
-    /// `horizon`; otherwise report why not. This fuses the engine's
-    /// peek-then-pop loop into one calendar operation per event — the run
-    /// loop's hot path.
+    /// Pop the earliest key and move its payload out of the slab: the
+    /// payload's one copy. The caller has seen the queue non-empty.
     #[inline]
-    pub fn pop_at_most(&mut self, horizon: SimTime) -> PopAtMost<E> {
-        let Some(top) = self.heap.peek_mut() else {
-            return PopAtMost::Empty;
-        };
-        if top.0.at > horizon {
-            return PopAtMost::Later(top.0.at);
-        }
-        let Reverse(next) = PeekMut::pop(top);
+    pub(crate) fn take_earliest(&mut self) -> E {
+        let Reverse(next) = self.heap.pop().expect("take_earliest on an empty queue");
         let payload = self.payloads[next.slot as usize]
             .take()
             .expect("slab slot empty on pop");
         self.free.push(next.slot);
-        PopAtMost::Popped(next.at, payload)
+        payload
+    }
+
+    /// Pop the earliest event **iff** its timestamp is at or before
+    /// `horizon`; otherwise report why not. The pop itself is
+    /// `take_earliest`, the same one `Engine::step` makes.
+    #[inline]
+    pub fn pop_at_most(&mut self, horizon: SimTime) -> PopAtMost<E> {
+        match self.peek_time() {
+            None => PopAtMost::Empty,
+            Some(at) if at > horizon => PopAtMost::Later(at),
+            Some(at) => PopAtMost::Popped(at, self.take_earliest()),
+        }
     }
 
     /// The timestamp of the earliest pending event.

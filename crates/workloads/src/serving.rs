@@ -9,11 +9,15 @@
 //!
 //! ### How it is simulated
 //!
-//! The arrival side is a **trace generator**: per-tenant seeded streams
-//! ([`gtn_sim::rng::SimRng::fork`], one fork per tenant so the trace for
-//! tenant *k* never changes when tenants are added) draw interarrival
-//! gaps from a Poisson (exponential) or heavy-tailed bounded-Pareto
-//! process, merged and sorted into one deterministic trace.
+//! The arrival side is an **arrival stream** ([`ArrivalStream`]):
+//! per-tenant seeded streams ([`gtn_sim::rng::SimRng::fork`], one fork
+//! per tenant so the arrivals of tenant *k* never change when tenants are
+//! added) draw interarrival gaps from a Poisson (exponential) or
+//! heavy-tailed bounded-Pareto process, streamed in time order. Each
+//! tenant holds only its next arrival, waiting on the list of the time
+//! window that arrival falls in, so the stream never stores or sorts the
+//! trace: its memory is O(tenants) (at most 64 four-byte window heads per
+//! tenant), whatever the horizon and the load.
 //!
 //! The service side is **calibrated from real cluster runs**: one
 //! pingpong run ([`crate::pingpong::try_run_flavor`]) prices an RPC and
@@ -79,6 +83,12 @@ const JITTER_DIV: u64 = 5;
 const PARETO_ALPHA: f64 = 1.5;
 /// Bounded-Pareto cap, as a multiple of the mean interarrival gap.
 const PARETO_BOUND_FACTOR: f64 = 1000.0;
+/// Expected arrivals the stream sizes each time window for; rounding the
+/// width up to a power of two holds one to two times as many.
+const ARRIVALS_PER_WINDOW: f64 = 2.0;
+/// Cap on the stream's time windows per tenant, which bounds its memory
+/// by the population rather than the horizon.
+const WINDOWS_PER_TENANT: u64 = 64;
 
 /// Interarrival process of one tenant's job stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,9 +221,37 @@ impl ServingParams {
         self.patch = patch;
         self
     }
+
+    /// Check the params before anything runs: a scenario needs tenants,
+    /// load, a horizon and a server, `collective_pct` is a percentage,
+    /// and the trigger partitions must be valid
+    /// ([`TriggerPartitions::validate`]). Allocates nothing on success.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [
+            ("tenants", u64::from(self.tenants)),
+            ("offered_jps", self.offered_jps),
+            ("duration_ns", self.duration_ns),
+            ("servers", u64::from(self.servers)),
+        ] {
+            if value == 0 {
+                return Err(format!("serving {name} must be >= 1"));
+            }
+        }
+        if self.collective_pct > 100 {
+            return Err(format!(
+                "serving collective_pct must be <= 100, not {}",
+                self.collective_pct
+            ));
+        }
+        TriggerPartitions {
+            partitions: self.partitions,
+            depth: self.partition_depth,
+        }
+        .validate()
+    }
 }
 
-/// One job in the merged arrival trace.
+/// One job of the arrival stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arrival {
     /// Arrival instant, ns from trace start.
@@ -229,7 +267,7 @@ pub struct Arrival {
     pub fail: f64,
 }
 
-/// Generate the merged, time-sorted arrival trace for `params`.
+/// The whole arrival trace for `params`: [`ArrivalStream`] collected.
 ///
 /// Each tenant draws from its own forked stream in a fixed order (gap,
 /// kind, jitter, fail per job), so the trace is a pure function of
@@ -240,39 +278,202 @@ pub struct Arrival {
 /// in arrival time are ordered by tenant id, making the total order (and
 /// everything downstream) deterministic.
 pub fn generate_arrivals(params: &ServingParams) -> Vec<Arrival> {
-    assert!(params.tenants >= 1, "need at least one tenant");
-    assert!(params.offered_jps >= 1, "need a positive offered load");
-    // Mean interarrival gap per tenant, ns.
-    let mean_gap_ns = params.tenants as f64 * 1e9 / params.offered_jps as f64;
-    let root = SimRng::seeded(params.seed);
-    let mut trace = Vec::new();
-    for tenant in 0..params.tenants {
-        let mut rng = root.fork(u64::from(tenant));
-        let mut t = 0u64;
-        loop {
-            let gap = sample_gap_ns(&mut rng, params.process, mean_gap_ns);
-            t = t.saturating_add(gap);
-            if t >= params.duration_ns {
-                break;
-            }
-            let kind = if rng.unit_f64() * 100.0 < f64::from(params.collective_pct) {
-                JobKind::Collective
-            } else {
-                JobKind::Rpc
-            };
-            let jitter = rng.unit_f64();
-            let fail = rng.unit_f64();
-            trace.push(Arrival {
-                at_ns: t,
-                tenant,
-                kind,
-                jitter,
-                fail,
-            });
+    ArrivalStream::new(params).collect()
+}
+
+/// How each tenant draws its arrivals.
+#[derive(Debug, Clone, Copy)]
+struct ArrivalDraw {
+    process: ArrivalProcess,
+    /// Mean interarrival gap per tenant, ns.
+    mean_gap_ns: f64,
+    collective_pct: f64,
+    duration_ns: u64,
+}
+
+impl ArrivalDraw {
+    /// `tenant`'s next arrival after `after_ns`, or `None` once its next
+    /// gap leaves the horizon (the kind, jitter and fail draws of that
+    /// last gap are never made).
+    #[inline]
+    fn next(&self, rng: &mut SimRng, tenant: u32, after_ns: u64) -> Option<Arrival> {
+        let gap = sample_gap_ns(rng, self.process, self.mean_gap_ns);
+        let at_ns = after_ns.saturating_add(gap);
+        if at_ns >= self.duration_ns {
+            return None;
         }
+        let kind = if rng.unit_f64() * 100.0 < self.collective_pct {
+            JobKind::Collective
+        } else {
+            JobKind::Rpc
+        };
+        let jitter = rng.unit_f64();
+        let fail = rng.unit_f64();
+        Some(Arrival {
+            at_ns,
+            tenant,
+            kind,
+            jitter,
+            fail,
+        })
     }
-    trace.sort_unstable_by_key(|a| (a.at_ns, a.tenant));
-    trace
+}
+
+/// Link value that ends a window's tenant list.
+const NO_TENANT: u32 = u32::MAX;
+
+/// One tenant of the stream: its forked generator and its next arrival.
+#[derive(Debug)]
+struct TenantHead {
+    rng: SimRng,
+    next: Arrival,
+}
+
+/// The arrival trace of a [`ServingParams`], yielded in `(at_ns, tenant)`
+/// order without being stored.
+///
+/// The horizon is cut into equal windows of `2^shift` ns, sized from the
+/// expected arrival count to hold one to two times
+/// `ARRIVALS_PER_WINDOW` each (the width is rounded up to a power of
+/// two), with at most `WINDOWS_PER_TENANT` windows per tenant: the
+/// benchmark's serving cells hold 2.5–3.3. Every tenant with an arrival left
+/// waits on the intrusive list of the window that arrival falls in (a
+/// `u32` head per window, a `u32` link per tenant). The stream takes the
+/// next non-empty window's list, sorts it, and yields it in order; each
+/// yielded tenant draws its next arrival at once and joins that window's
+/// list, or the current batch when it lands in the same window. A
+/// tenant's arrivals strictly increase (every gap is at least 1 ns), so
+/// the keys are unique and the stream yields exactly the order of the
+/// sorted trace, with the same values.
+#[derive(Debug)]
+pub struct ArrivalStream {
+    draw: ArrivalDraw,
+    tenants: Vec<TenantHead>,
+    /// The next tenant waiting on the same window as each tenant, or
+    /// [`NO_TENANT`].
+    links: Vec<u32>,
+    /// First tenant waiting on each window, or [`NO_TENANT`].
+    windows: Vec<u32>,
+    /// Window width: `at_ns >> shift` is an arrival's window.
+    shift: u32,
+    /// The window the next batch is taken from.
+    cursor: usize,
+    /// The current window's `(at_ns, tenant)` keys, latest first, so the
+    /// earliest pops off the end.
+    batch: Vec<(u64, u32)>,
+}
+
+impl ArrivalStream {
+    /// The stream of `params`' arrivals over `[0, duration_ns)`. Empty
+    /// when there are no tenants, no load or no horizon.
+    pub fn new(params: &ServingParams) -> Self {
+        // No load, no arrivals: the mean gap would be infinite, and a
+        // uniform draw of 0 would turn it into a NaN gap, cast to 1 ns.
+        let duration_ns = if params.offered_jps == 0 {
+            0
+        } else {
+            params.duration_ns
+        };
+        let draw = ArrivalDraw {
+            process: params.process,
+            mean_gap_ns: params.tenants as f64 * 1e9 / params.offered_jps as f64,
+            collective_pct: f64::from(params.collective_pct),
+            duration_ns,
+        };
+        // Saturating float-to-int casts keep every input finite here.
+        let expected = params.offered_jps as f64 * duration_ns as f64 / 1e9;
+        let cap = WINDOWS_PER_TENANT * u64::from(params.tenants.max(1));
+        let target = ((expected / ARRIVALS_PER_WINDOW) as u64).clamp(1, cap);
+        let width = duration_ns.div_ceil(target).max(1);
+        // The smallest power of two >= width, so there are at most
+        // `target` windows.
+        let shift = (u64::BITS - (width - 1).leading_zeros()).min(u64::BITS - 1);
+        let n_windows = match duration_ns {
+            0 => 0,
+            d => ((d - 1) >> shift) as usize + 1,
+        };
+        let mut stream = ArrivalStream {
+            draw,
+            tenants: Vec::new(),
+            links: Vec::new(),
+            windows: vec![NO_TENANT; n_windows],
+            shift,
+            cursor: 0,
+            batch: Vec::new(),
+        };
+        if n_windows == 0 {
+            return stream;
+        }
+        stream.tenants.reserve_exact(params.tenants as usize);
+        stream.links = vec![NO_TENANT; params.tenants as usize];
+        let root = SimRng::seeded(params.seed);
+        for tenant in 0..params.tenants {
+            let mut rng = root.fork(u64::from(tenant));
+            let first = draw.next(&mut rng, tenant, 0);
+            // A tenant with no arrival waits on no list, so its `next`
+            // is never read.
+            let next = first.unwrap_or(Arrival {
+                at_ns: duration_ns,
+                tenant,
+                kind: JobKind::Rpc,
+                jitter: 0.0,
+                fail: 0.0,
+            });
+            stream.tenants.push(TenantHead { rng, next });
+            if first.is_some() {
+                stream.wait(tenant, next.at_ns);
+            }
+        }
+        stream
+    }
+
+    /// Width of the stream's time windows, ns.
+    pub fn window_ns(&self) -> u64 {
+        1 << self.shift
+    }
+
+    /// Put `tenant`, whose next arrival is at `at_ns`, on its window's list.
+    #[inline]
+    fn wait(&mut self, tenant: u32, at_ns: u64) {
+        let window = &mut self.windows[(at_ns >> self.shift) as usize];
+        self.links[tenant as usize] = *window;
+        *window = tenant;
+    }
+}
+
+impl Iterator for ArrivalStream {
+    type Item = Arrival;
+
+    #[inline]
+    fn next(&mut self) -> Option<Arrival> {
+        while self.batch.is_empty() {
+            // Take the next non-empty window's list as the batch.
+            let window = self.windows.get_mut(self.cursor)?;
+            let mut tenant = std::mem::replace(window, NO_TENANT);
+            self.cursor += 1;
+            while tenant != NO_TENANT {
+                self.batch
+                    .push((self.tenants[tenant as usize].next.at_ns, tenant));
+                tenant = self.links[tenant as usize];
+            }
+            self.batch.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        let (_, tenant) = self.batch.pop()?;
+        let head = &mut self.tenants[tenant as usize];
+        let arrival = head.next;
+        if let Some(next) = self.draw.next(&mut head.rng, tenant, arrival.at_ns) {
+            head.next = next;
+            if (next.at_ns >> self.shift) as usize + 1 == self.cursor {
+                // Still inside the current window: insert into the batch.
+                let key = (next.at_ns, tenant);
+                let at = self.batch.partition_point(|&k| k > key);
+                self.batch.insert(at, key);
+            } else {
+                self.wait(tenant, next.at_ns);
+            }
+        }
+        Some(arrival)
+    }
 }
 
 /// One interarrival gap in whole nanoseconds (>= 1, so a tenant's
@@ -403,21 +604,20 @@ fn job_op() -> NetOp {
     }
 }
 
-/// Run one serving scenario, panicking if a calibration run fails.
+/// Run one serving scenario, panicking with the [`JobFailure`] if
+/// [`try_run`] returns one (invalid params or a failed calibration run).
 pub fn run(params: &ServingParams) -> ServingReport {
-    try_run(params).unwrap_or_else(|failure| {
-        panic!(
-            "serving {} calibration did not complete\n{failure}",
-            params.strategy
-        )
-    })
+    try_run(params)
+        .unwrap_or_else(|failure| panic!("serving {} run failed\n{failure}", params.strategy))
 }
 
-/// Run one serving scenario; a failed calibration run (e.g. an injected
-/// crash under the `Abort` policy) comes back as `Err(JobFailure)`.
+/// Run one serving scenario. Params that fail
+/// [`ServingParams::validate`] come back as `Err(JobFailure::Invalid)`
+/// before any cluster runs; a failed calibration run (e.g. an injected
+/// crash under the `Abort` policy) comes back as its `JobFailure`.
 pub fn try_run(params: &ServingParams) -> Result<ServingReport, JobFailure> {
+    params.validate().map_err(JobFailure::Invalid)?;
     let (model, mut stats) = calibrate(params)?;
-    let arrivals = generate_arrivals(params);
     let map = TenantMap::new(params.tenants, params.partitions);
 
     // The serving NIC's trigger list, shaped by the same pressure knobs
@@ -456,24 +656,25 @@ pub fn try_run(params: &ServingParams) -> Result<ServingReport, JobFailure> {
     let mut service = DurationSummary::new();
 
     // Multi-server FIFO queueing core, integer picoseconds throughout.
-    // `busy` orders in-service jobs by (completion, arrival index) so
-    // simultaneous completions pop deterministically.
-    let mut busy: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    let mut idle = params.servers.max(1);
-    let mut waiting: VecDeque<usize> = VecDeque::new();
-    let mut fails = vec![false; arrivals.len()];
+    // A job is known by its arrival index `seq`. `busy` orders in-service
+    // jobs by (completion, seq), so simultaneous completions pop
+    // deterministically, and carries each job's arrival instant and
+    // failure flag; `waiting` carries each queued job's arrival.
+    let mut busy: BinaryHeap<Reverse<(u64, u64, u64, bool)>> = BinaryHeap::new();
+    let mut idle = params.servers;
+    let mut waiting: VecDeque<(u64, Arrival)> = VecDeque::new();
     let mut makespan_ps = 0u64;
 
-    // Start job `idx` on a free server at `now_ps`: fire its trigger
+    // Start job `seq` on a free server at `now_ps`: fire its trigger
     // (promoting that partition's spills) and price the match exactly as
     // the NIC would — lookup cost at current occupancy plus the
     // host-memory surcharge when the tag resolves to the overflow table.
     macro_rules! start_service {
-        ($idx:expr, $now_ps:expr) => {{
-            let idx: usize = $idx;
+        ($seq:expr, $job:expr, $now_ps:expr) => {{
+            let seq: u64 = $seq;
+            let job: Arrival = $job;
             let now_ps: u64 = $now_ps;
-            let job = &arrivals[idx];
-            let tag = map.tag(job.tenant, idx as u64);
+            let tag = map.tag(job.tenant, seq);
             let mut match_ps = triggers.match_cost().as_ps();
             if triggers.resolves_to_overflow(tag) {
                 match_ps += spill_extra_ps;
@@ -490,11 +691,15 @@ pub fn try_run(params: &ServingParams) -> Result<ServingReport, JobFailure> {
             let jitter_ps = ((base_ps / JITTER_DIV) as f64 * job.jitter) as u64;
             let service_ps = base_ps + match_ps + jitter_ps;
             let arrival_ps = job.at_ns * 1_000;
-            fails[idx] = job.fail < fail_prob;
             queue_wait.record(SimDuration::from_ps(now_ps - arrival_ps));
             service.record(SimDuration::from_ps(service_ps));
             idle -= 1;
-            busy.push(Reverse((now_ps + service_ps, idx)));
+            busy.push(Reverse((
+                now_ps + service_ps,
+                seq,
+                arrival_ps,
+                job.fail < fail_prob,
+            )));
         }};
     }
 
@@ -503,32 +708,31 @@ pub fn try_run(params: &ServingParams) -> Result<ServingReport, JobFailure> {
     macro_rules! advance {
         ($horizon_ps:expr) => {{
             let horizon_ps: u64 = $horizon_ps;
-            while let Some(&Reverse((done_ps, idx))) = busy.peek() {
+            while let Some(&Reverse((done_ps, _, arrival_ps, failed))) = busy.peek() {
                 if done_ps > horizon_ps {
                     break;
                 }
                 busy.pop();
                 idle += 1;
-                adm.finish(!fails[idx]);
+                adm.finish(!failed);
                 makespan_ps = makespan_ps.max(done_ps);
-                sojourn.record(SimDuration::from_ps(done_ps - arrivals[idx].at_ns * 1_000));
-                if let Some(next) = waiting.pop_front() {
+                sojourn.record(SimDuration::from_ps(done_ps - arrival_ps));
+                if let Some((seq, job)) = waiting.pop_front() {
                     adm.start();
-                    start_service!(next, done_ps);
+                    start_service!(seq, job, done_ps);
                 }
             }
         }};
     }
 
-    for idx in 0..arrivals.len() {
-        let job = arrivals[idx];
+    for (seq, job) in (0u64..).zip(ArrivalStream::new(params)) {
         let now_ps = job.at_ns * 1_000;
         advance!(now_ps);
         if !adm.offer() {
             shed_queue += 1;
             continue;
         }
-        let tag = map.tag(job.tenant, idx as u64);
+        let tag = map.tag(job.tenant, seq);
         match triggers.register(tag, job_op(), 1) {
             Ok(None) => {}
             Ok(Some(_)) => unreachable!("fresh tags cannot have early counts"),
@@ -542,14 +746,14 @@ pub fn try_run(params: &ServingParams) -> Result<ServingReport, JobFailure> {
         }
         if idle > 0 {
             adm.start();
-            start_service!(idx, now_ps);
+            start_service!(seq, job, now_ps);
         } else {
-            waiting.push_back(idx);
+            waiting.push_back((seq, job));
         }
     }
     advance!(u64::MAX);
     assert!(
-        busy.is_empty() && waiting.is_empty() && idle == params.servers.max(1),
+        busy.is_empty() && waiting.is_empty() && idle == params.servers,
         "drain left jobs in the system"
     );
     debug_assert!(adm.conserved(), "admission counters must conserve");

@@ -14,6 +14,10 @@
 //!    from every entry point.
 //! 4. **A lossy CPU ring** that may corrupt its result (ROADMAP item 1)
 //!    comes back `Ok` or as a `Diverged` that names a rank.
+//! 5. **Serving params** — zero tenants, load, horizon, servers or
+//!    trigger partitions, a zero partition depth, or a `collective_pct`
+//!    past 100 come back from `serving::try_run` as `JobFailure::Invalid`;
+//!    small valid params run `Ok`.
 
 use gtn_core::config::ClusterConfig;
 use gtn_core::scenario::ConfigPatch;
@@ -27,6 +31,7 @@ use gtn_workloads::harness::{
 };
 use gtn_workloads::jacobi::{self, Jacobi, JacobiParams};
 use gtn_workloads::pingpong::{self, Flavor};
+use gtn_workloads::serving::{self, ServingParams};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -41,7 +46,10 @@ const KINDS: [Collective; 5] = [
 type Outcome = Result<ScenarioResult, JobFailure>;
 
 /// Run `f`, turning a panic into an `Err` that says what panicked.
-fn no_panic(what: &str, f: impl FnOnce() -> Outcome) -> Result<Outcome, String> {
+fn no_panic<T>(
+    what: &str,
+    f: impl FnOnce() -> Result<T, JobFailure>,
+) -> Result<Result<T, JobFailure>, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         let msg = payload
             .downcast_ref::<String>()
@@ -52,7 +60,7 @@ fn no_panic(what: &str, f: impl FnOnce() -> Outcome) -> Result<Outcome, String> 
     })
 }
 
-fn is_invalid(r: &Outcome) -> bool {
+fn is_invalid<T>(r: &Result<T, JobFailure>) -> bool {
     matches!(r, Err(JobFailure::Invalid(_)))
 }
 
@@ -183,6 +191,48 @@ proptest! {
     }
 }
 
+proptest! {
+    // A valid case runs both calibration sims and a short trace.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn serving_returns_ok_or_invalid(
+        tenants in 0u32..6,
+        servers in 0u32..4,
+        load in 0u8..16,
+        parts in 0u8..16,
+        collective_pct in 0u32..110,
+        strategy_ix in 0u8..4,
+    ) {
+        let offered_jps = [0, 100_000, 400_000, 2_000_000][load as usize % 4];
+        let duration_ns = [0, 1, 50_000, 200_000][load as usize / 4];
+        let partitions = u32::from(parts % 4);
+        let depth = [None, Some(0), Some(2), Some(8)][parts as usize / 4];
+        let mut p = ServingParams::new(Strategy::all()[strategy_ix as usize])
+            .tenants(tenants)
+            .offered(offered_jps)
+            .duration_ns(duration_ns)
+            .partitions(partitions, depth)
+            .seed(u64::from(load) * 97 + u64::from(parts));
+        p.servers = servers;
+        p.collective_pct = collective_pct;
+        let r = no_panic("serving::try_run", || serving::try_run(&p))
+            .map_err(TestCaseError::fail)?;
+        let invalid = tenants == 0
+            || offered_jps == 0
+            || duration_ns == 0
+            || servers == 0
+            || partitions == 0
+            || depth == Some(0)
+            || collective_pct > 100;
+        prop_assert_eq!(is_invalid(&r), invalid, "{:?}: {:?}", p, r.as_ref().err());
+        if !invalid {
+            let report = r.map_err(|e| TestCaseError::fail(format!("{p:?}: {e}")))?;
+            prop_assert!(report.conserved(), "{:?}", p);
+        }
+    }
+}
+
 #[test]
 fn inputs_that_used_to_panic_are_invalid() {
     let ring = |nodes, elems| {
@@ -238,6 +288,37 @@ fn inputs_that_used_to_panic_are_invalid() {
         for r in outcomes {
             assert!(is_invalid(&r), "{what}: {:?}", r.err());
         }
+    }
+}
+
+#[test]
+fn bad_serving_params_are_invalid() {
+    let ok = ServingParams::new(Strategy::GpuTn)
+        .tenants(20)
+        .duration_ns(100_000)
+        .offered(200_000);
+    let bad = [
+        ("tenants = 0", ok.tenants(0)),
+        ("offered_jps = 0", ok.offered(0)),
+        ("duration_ns = 0", ok.duration_ns(0)),
+        ("servers = 0", ServingParams { servers: 0, ..ok }),
+        ("partitions = 0", ok.partitions(0, Some(4))),
+        ("partition depth 0", ok.partitions(4, Some(0))),
+        (
+            "collective_pct = 101",
+            ServingParams {
+                collective_pct: 101,
+                ..ok
+            },
+        ),
+    ];
+    for (what, p) in bad {
+        let r = no_panic(what, || serving::try_run(&p)).unwrap();
+        assert!(is_invalid(&r), "{what}: {:?}", r.err());
+    }
+    for p in [ok, ok.tenants(1), ok.partitions(1, None)] {
+        let r = no_panic("valid serving params", || serving::try_run(&p)).unwrap();
+        assert!(r.is_ok(), "{p:?}: {}", r.unwrap_err());
     }
 }
 
